@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds and runs the repository benchmark (perfbench).
 
-    python3 perfbench/run.py --workload repro|serve-steady|serve-tiered \
+    python3 perfbench/run.py --workload repro|serve-tiered \
         --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout. The first run configures and builds
@@ -91,7 +91,7 @@ def main():
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True,
-                        choices=["repro", "serve-steady", "serve-tiered"])
+                        choices=["repro", "serve-tiered"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", choices=["0", "1"], required=True)

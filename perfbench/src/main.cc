@@ -5,7 +5,7 @@
 // (--trace 1) it measured; run.py attaches the units from BENCHMARK.json.
 // perfbench/README.md describes the workloads and metrics.
 //
-//   perfbench --workload repro|serve-steady|serve-tiered --seed N
+//   perfbench --workload repro|serve-tiered --seed N
 //             --seconds S --trace 0|1 [--trace-out FILE]
 
 #include <sys/resource.h>
@@ -31,6 +31,10 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+double Fastest(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+
 double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -41,7 +45,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload repro|serve-steady|serve-tiered "
+               "usage: perfbench --workload repro|serve-tiered "
                "--seed N --seconds S --trace 0|1 [--trace-out FILE]\n");
   return 2;
 }
@@ -76,10 +80,7 @@ int main(int argc, char** argv) {
     }
   }
   const bool repro = config.workload == "repro";
-  if (!repro && config.workload != "serve-steady" &&
-      config.workload != "serve-tiered") {
-    return Usage();
-  }
+  if (!repro && config.workload != "serve-tiered") return Usage();
 
   Tracer tracer;
   Tracer* t = config.trace ? &tracer : nullptr;

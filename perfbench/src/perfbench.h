@@ -20,7 +20,8 @@ namespace perfbench {
 struct Config {
   std::string workload;
   uint64_t seed = 0;
-  /// Host seconds the timed phase is repeated for (at least one pass).
+  /// Host seconds the timed phase is repeated for (at least kMinPasses
+  /// passes).
   double seconds = 10.0;
   /// Traced run: per-layer metrics instead of end-to-end ones.
   bool trace = false;
@@ -74,6 +75,8 @@ class Digest {
 double SecondsSince(std::chrono::steady_clock::time_point t0);
 /// Median of a non-empty vector.
 double Median(std::vector<double> v);
+/// Smallest element of a non-empty vector.
+double Fastest(const std::vector<double>& v);
 /// Peak resident set size of this process, in MB.
 double PeakRssMb();
 
@@ -86,9 +89,13 @@ dana::Status RunReplays(dana::bench::Harness* harness, Tracer* tracer,
 dana::Status RunRepro(const Config& config, Tracer* tracer, Outcome* out);
 dana::Status RunServe(const Config& config, Tracer* tracer, Outcome* out);
 
+/// A run repeats its timed pass at least this often, so that `run_s` is
+/// always the fastest of several passes.
+constexpr size_t kMinPasses = 2;
+
 /// Runs `pass(&seconds, &digest)` until `seconds` of host time are spent,
-/// at least once, appending each pass's host seconds to `pass_s`. Every
-/// pass must reproduce the first pass's digest.
+/// at least kMinPasses times, appending each pass's host seconds to
+/// `pass_s`. Every pass must reproduce the first pass's digest.
 template <typename Pass>
 dana::Status RepeatPasses(double seconds, Pass&& pass,
                           std::vector<double>* pass_s, uint64_t* digest,
@@ -105,7 +112,7 @@ dana::Status RepeatPasses(double seconds, Pass&& pass,
     }
     pass_s->push_back(s);
     std::fprintf(stderr, "pass %zu: %.3f s\n", pass_s->size(), s);
-  } while (SecondsSince(start) < seconds);
+  } while (pass_s->size() < kMinPasses || SecondsSince(start) < seconds);
   return dana::Status::OK();
 }
 
