@@ -1,5 +1,7 @@
 // Event-loop microbenchmark: simulator throughput (sim_qps) of the
 // discrete-event scheduler itself, swept over request-count x slot-count.
+// Every point runs the scheduler's one event-driven engine; the extra
+// event point adds a batch-formation window and interactive arrivals.
 //
 // The executor is a synthetic constant-cost stub (no cycle-level simulator,
 // no pools), so the wall time measured here is the scheduler's own event
@@ -191,9 +193,8 @@ int main() {
       }
     }
   }
-  // The event-driven (preemptive-path) loop: a batch-formation window and
-  // interactive arrivals route the same stream through PreemptiveEngine,
-  // exercising AvailableSlots/hold/continuation bookkeeping.
+  // The preemptive features on the same engine: a batch-formation window
+  // and interactive arrivals exercise the hold and priority bookkeeping.
   if (run_point(10000, 8, /*event_path=*/true, "event.r10000.s8") != 0) {
     return 1;
   }

@@ -2,9 +2,8 @@
 
 /// Clang thread-safety-analysis attribute macros (the `-Wthread-safety`
 /// static checker): annotating which mutex guards which data turns the
-/// repo's two dynamic determinism contracts — byte-identical snapshots and
-/// simulator-oracle parity in the threaded runtime — into build-time
-/// guarantees about lock discipline. Under any compiler (or clang build)
+/// lock discipline the thread-safe caches and registries rely on into
+/// build-time guarantees. Under any compiler (or clang build)
 /// without the attributes, every macro expands to nothing, so the
 /// annotations cost nothing outside the `static-analysis` CI leg.
 ///

@@ -206,10 +206,10 @@ class QueryExecutor {
     return 0.0;
   }
 
-  /// Pre-sizes any per-slot state for `slots` concurrent slots. The
-  /// threaded runtime calls this once before spawning its slot workers so
-  /// lazily-grown per-slot containers (e.g. a pool group's vector) never
-  /// reallocate under concurrent access. Default: no per-slot state.
+  /// Pre-sizes any per-slot state for `slots` slots, so lazily-grown
+  /// per-slot containers (e.g. a pool group's vector) never reallocate
+  /// under a caller that shares the executor across threads. Default: no
+  /// per-slot state.
   virtual void PrepareSlots(uint32_t slots) { (void)slots; }
 
  private:
@@ -258,16 +258,14 @@ class QueryExecutor {
 /// the pool so affinity dispatch can route resumed work back to its warm
 /// slot.
 ///
-/// Concurrency: safe for the threaded runtime's slot workers. Shared
-/// cross-slot state is partitioned into fill-once caches (the compile
-/// cache and the measured endpoint profiles — concurrent cold requests
-/// share one fill) and a state mutex (workload instances, registry memo,
-/// the logical residency ledger). Per-slot pool state is intentionally
-/// unguarded: slot i's pool is only ever touched by the execution running
-/// on slot i (or by the scheduler while the slot is idle), the same
-/// partition the scheduler's dispatch discipline guarantees. Callers
-/// running real threads must PrepareSlots() first so the pool group never
-/// grows mid-run.
+/// Concurrency: the scheduler drives the executor from one thread, but
+/// the cross-slot state stays thread-safe for callers that share one
+/// executor across threads. It is partitioned into fill-once caches (the
+/// compile cache and the measured endpoint profiles — concurrent cold
+/// requests share one fill) and a state mutex (workload instances,
+/// registry memo, the logical residency ledger). Per-slot pool state is
+/// intentionally unguarded: such callers must give each thread its own
+/// slots and PrepareSlots() first so the pool group never grows mid-run.
 class DanaQueryExecutor : public QueryExecutor {
  public:
   struct Options {
@@ -464,9 +462,9 @@ class DanaQueryExecutor : public QueryExecutor {
       GUARDED_BY(state_mu_);
   /// Measured epoch profiles, keyed by (workload, batch size, cache
   /// endpoint). The cold table-load path: measuring an endpoint actually
-  /// runs the cycle-level simulator, so concurrent slot workers asking for
-  /// the same cold key share one fill (fill-once/wait) and never duplicate
-  /// a run.
+  /// runs the cycle-level simulator, so concurrent callers asking for the
+  /// same cold key share one fill (fill-once/wait) and never duplicate a
+  /// run.
   dana::FillOnceMap<std::tuple<std::string, uint32_t, uint8_t>, EpochProfile>
       measured_;
   /// Registry lookups memoized per name: ml::FindWorkload is a linear scan
@@ -477,8 +475,8 @@ class DanaQueryExecutor : public QueryExecutor {
       GUARDED_BY(state_mu_);
   /// Guards the executor's cross-slot mutable state: instances_,
   /// workload_cache_, and the logical residency_ ledger. Per-slot pool
-  /// state needs no lock — slot i's pool is touched only by slot i's
-  /// worker (BufferPoolGroup's contract).
+  /// state needs no lock — slot i's pool is touched only by the thread
+  /// that owns slot i (BufferPoolGroup's contract).
   mutable dana::Mutex state_mu_;
   /// Serializes actual simulator measurement runs (MeasureEndpoint fills):
   /// WorkloadInstance execution contexts grow per-slot pools on demand and

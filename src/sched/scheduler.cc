@@ -1,19 +1,17 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <set>
 #include <utility>
 
+#include "common/intern.h"
 #include "common/stats.h"
-#include "sched/runtime_worker.h"
 
 namespace dana::sched {
 
@@ -190,6 +188,11 @@ Scheduler::Scheduler(SchedulerOptions options, QueryExecutor* executor)
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.batch_window < dana::SimTime::Zero()) {
     options_.batch_window = dana::SimTime::Zero();
+  }
+  // A negative switch cost would free a preempted slot before its epoch
+  // boundary, letting two runs overlap on it.
+  if (options_.context_switch_cost < dana::SimTime::Zero()) {
+    options_.context_switch_cost = dana::SimTime::Zero();
   }
 }
 
@@ -559,13 +562,12 @@ class PendingQueue {
   std::multiset<std::pair<dana::SimTime, size_t>> sjf_;
 };
 
-/// Simulated compile-cache charging shared by both scheduling engines,
-/// id-indexed: `ready_[wid]` records when that workload's design becomes
-/// available. The first dispatch of a workload is a miss and pays the full
-/// compile latency; a dispatch while that compile is still in flight on
-/// another slot waits out the residual; later dispatches pay nothing. A
-/// batch compiles its design once — the head pays the miss, riders are
-/// hits.
+/// Simulated compile-cache charging, id-indexed: `ready_[wid]` records
+/// when that workload's design becomes available. The first dispatch of a
+/// workload is a miss and pays the full compile latency; a dispatch while
+/// that compile is still in flight on another slot waits out the residual;
+/// later dispatches pay nothing. A batch compiles its design once — the
+/// head pays the miss, riders are hits.
 struct CompileCharge {
   dana::SimTime wait;
   bool head_miss = false;
@@ -595,221 +597,57 @@ class CompileReadyTable {
   std::vector<dana::SimTime> ready_;
 };
 
-/// One Dispatch call's outcome: which request indices rode the batch and
-/// when the batch completes (= the slot's new free time).
-struct DispatchOutcome {
-  std::vector<size_t> members;
-  dana::SimTime completion;
-};
-
-/// Shared dispatch machinery of the open and closed-loop run-to-completion
-/// paths: pops the policy's head query (affinity-aware when enabled), picks
-/// the slot — earliest-free, or the warmest free one under affinity —
-/// coalesces up to max_batch-1 co-resident queries of the same algorithm,
-/// charges compile + batched service, and records one QueryStat per member
-/// (all complete together).
-class DispatchEngine {
+/// The workloads of one run, interned to dense ids at admission: the engine
+/// keys its estimate table, compile charging, and per-class queues by these
+/// ids, so nothing on the per-event path hashes or compares strings. Under
+/// SJF each workload's a-priori estimate is resolved once, when it is first
+/// added, so admission decisions are O(queue), not O(executor).
+class Catalog {
  public:
-  DispatchEngine(const SchedulerOptions& options, QueryExecutor* executor,
-                 const std::vector<QueryRequest>& requests,
-                 const std::vector<uint32_t>& wids, ScheduleReport* report)
-      : options_(options),
-        executor_(executor),
-        requests_(requests),
-        wids_(wids),
-        report_(report),
-        slot_free_(options.slots, dana::SimTime::Zero()) {}
+  Catalog(Policy policy, QueryExecutor* executor)
+      : sjf_(policy == Policy::kSjf), executor_(executor) {}
 
-  /// Earliest-free slot; lowest index breaks ties, deterministically.
-  /// `busy` (optional) masks slots with an uncommitted in-flight dispatch
-  /// (threaded same-tick overlap); at a shared tick the masked pick equals
-  /// the unmasked one, because every in-flight slot's committed free time
-  /// will exceed the tick while some unmasked slot's is at or before it.
-  uint32_t NextSlot(const std::vector<uint8_t>* busy = nullptr) const {
-    uint32_t slot = kNoSlot;
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (busy != nullptr && (*busy)[s]) continue;
-      if (slot == kNoSlot || slot_free_[s] < slot_free_[slot]) slot = s;
+  dana::Result<uint32_t> Add(const std::string& workload_id) {
+    const uint32_t known = ids_.size();
+    const uint32_t w = ids_.Intern(workload_id);
+    if (sjf_ && w == known) {
+      DANA_ASSIGN_OR_RETURN(dana::SimTime estimate,
+                            executor_->Estimate(workload_id));
+      estimates_by_id_.push_back(estimate);
     }
-    return slot;
+    return w;
   }
 
-  /// True when a non-busy slot is free at `now` — a further same-tick
-  /// decision can be issued without waiting for in-flight commits.
-  bool HasFreeSlotAt(dana::SimTime now,
-                     const std::vector<uint8_t>& busy) const {
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (!busy[s] && slot_free_[s] <= now) return true;
-    }
-    return false;
-  }
-
-  dana::SimTime slot_free(uint32_t slot) const { return slot_free_[slot]; }
-
-  /// The policy half of a dispatch: queue pop, batch coalescing, and slot
-  /// choice — everything decided before the executor prices the batch.
-  /// Splitting it from Commit lets the threaded runtime run the pricing on
-  /// the slot's worker while the decision loop continues.
-  struct Decision {
-    std::vector<size_t> members;
-    uint32_t slot = 0;
-    QueryBatch batch;
-  };
-
-  Decision Decide(PendingQueue& pending, dana::SimTime now,
-                  const std::vector<uint8_t>* busy = nullptr) {
-    // Affinity dispatch sees every slot already free at the dispatch time
-    // (the earliest-free slot always qualifies: `now` is at or past its
-    // free time); a candidate's warmth is the best any of them offers.
-    std::vector<uint32_t> available;
-    PendingQueue::WarmthFn warmth = nullptr;
-    if (options_.affinity_weight > 0.0) {
-      for (uint32_t s = 0; s < options_.slots; ++s) {
-        if (busy != nullptr && (*busy)[s]) continue;
-        if (slot_free_[s] <= now) available.push_back(s);
-      }
-      warmth = [&](const std::string& workload_id) {
-        double best = 0.0;
-        for (uint32_t s : available) {
-          best = std::max(best, executor_->WarmFraction(workload_id, s));
-        }
-        return best;
-      };
-    }
-
-    Decision d;
-    d.members.push_back(pending.Pop(now, warmth));
-    const QueryRequest& head = requests_[d.members[0]];
-    const uint32_t head_wid = wids_[d.members[0]];
-
-    // Slot choice: warmest free slot for the head's table under affinity
-    // (ties by earliest free time then lowest index — the affinity-blind
-    // order), earliest-free otherwise.
-    uint32_t slot = NextSlot(busy);
-    if (options_.affinity_weight > 0.0) {
-      double best_warm = -1.0;
-      for (uint32_t s : available) {
-        const double w = executor_->WarmFraction(head.workload_id, s);
-        if (w > best_warm ||
-            (w == best_warm && slot_free_[s] < slot_free_[slot])) {
-          best_warm = w;
-          slot = s;
-        }
-      }
-    }
-    if (options_.max_batch > 1) {
-      pending.TakeSameClass(head_wid, options_.max_batch - 1, &d.members);
-    }
-
-    d.slot = slot;
-    d.batch.workload_id = head.workload_id;
-    d.batch.slot = slot;
-    for (size_t m : d.members) d.batch.query_ids.push_back(requests_[m].id);
-    return d;
-  }
-
-  /// The accounting half: compile charging, per-member stats, slot free
-  /// time, makespan, trace spans. Threaded mode calls this in decision
-  /// (ticket) order, which keeps every sum and span bit-identical to the
-  /// simulated loop.
-  dana::Result<DispatchOutcome> Commit(Decision d, dana::SimTime now,
-                                       const BatchCost& cost) {
-    const QueryRequest& head = requests_[d.members[0]];
-    const uint32_t head_wid = wids_[d.members[0]];
-    const uint32_t slot = d.slot;
-    std::vector<size_t>& members = d.members;
-
-    const CompileCharge charge =
-        compile_ready_.Charge(head_wid, now, cost.compile);
-    const dana::SimTime compile_wait = charge.wait;
-    const bool head_miss = charge.head_miss;
-
-    const dana::SimTime completion = now + compile_wait + cost.service;
-    for (size_t j = 0; j < members.size(); ++j) {
-      const QueryRequest& req = requests_[members[j]];
-      QueryStat stat;
-      stat.id = req.id;
-      stat.workload_id = req.workload_id;
-      stat.query_class = req.query_class;
-      stat.slot = slot;
-      stat.arrival = req.arrival;
-      stat.start = now;
-      stat.compile = compile_wait;
-      stat.compile_hit = !(head_miss && j == 0);
-      stat.service = cost.service;
-      stat.batch_size = static_cast<uint32_t>(members.size());
-      stat.shared_service = cost.shared;
-      stat.private_service = cost.per_query;
-      stat.warm_fraction = cost.warm_fraction;
-      stat.os_warm_fraction = cost.os_warm_fraction;
-      stat.residency_modeled = cost.residency_modeled;
-      stat.completion = completion;
-      if (stat.compile_hit) {
-        ++report_->compile_hits;
-      } else {
-        ++report_->compile_misses;
-      }
-      report_->queries.push_back(std::move(stat));
-    }
-    ++report_->batches;
-    report_->shared_service += cost.shared;
-    report_->private_service +=
-        cost.per_query * static_cast<double>(members.size());
-    slot_free_[slot] = completion;
-    report_->makespan = dana::SimTime::Max(report_->makespan, completion);
-    if (options_.tracer != nullptr) {
-      if (compile_wait > dana::SimTime::Zero()) {
-        options_.tracer->Span(slot, "compile " + head.workload_id, "compile",
-                              now, now + compile_wait,
-                              {{"hit", !head_miss}});
-      }
-      options_.tracer->Span(
-          slot, "run " + head.workload_id, "dispatch", now + compile_wait,
-          completion,
-          {{"queries", static_cast<uint64_t>(members.size())},
-           {"warm_fraction", cost.warm_fraction}});
-    }
-    return DispatchOutcome{std::move(members), completion};
-  }
-
-  /// The inline (simulated) dispatch: decide, price, commit in one step.
-  dana::Result<DispatchOutcome> Dispatch(PendingQueue& pending,
-                                         dana::SimTime now) {
-    Decision d = Decide(pending, now);
-    DANA_ASSIGN_OR_RETURN(BatchCost cost, executor_->Dispatch(d.batch));
-    return Commit(std::move(d), now, cost);
+  const dana::Interner& ids() const { return ids_; }
+  /// SJF estimates indexed by id; empty unless the policy is SJF.
+  const std::vector<dana::SimTime>& estimates_by_id() const {
+    return estimates_by_id_;
   }
 
  private:
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-
-  const SchedulerOptions& options_;
+  bool sjf_;
   QueryExecutor* executor_;
-  const std::vector<QueryRequest>& requests_;
-  const std::vector<uint32_t>& wids_;
-  ScheduleReport* report_;
-  std::vector<dana::SimTime> slot_free_;
-  CompileReadyTable compile_ready_;
+  dana::Interner ids_;
+  std::vector<dana::SimTime> estimates_by_id_;
 };
 
 /// Residency-aware SJF estimate with a fallback to the precomputed static
 /// estimate when the executor cannot price the warmth. Non-null only when
-/// affinity SJF is on; the returned closure borrows `ids` and
-/// `estimates_by_id`, which must outlive it.
-PendingQueue::EstimateAtFn MakeEstimateAtFn(
-    const SchedulerOptions& options, QueryExecutor* executor,
-    const dana::Interner& ids,
-    const std::vector<dana::SimTime>& estimates_by_id) {
+/// affinity SJF is on; the returned closure borrows `catalog`, which must
+/// outlive it.
+PendingQueue::EstimateAtFn MakeEstimateAtFn(const SchedulerOptions& options,
+                                            QueryExecutor* executor,
+                                            const Catalog& catalog) {
   if (options.policy != Policy::kSjf || options.affinity_weight <= 0.0) {
     return nullptr;
   }
-  return [executor, &ids, &estimates_by_id](const std::string& id,
-                                            double warmth) {
+  return [executor, &catalog](const std::string& id, double warmth) {
     auto est = executor->EstimateAtWarmth(id, warmth);
     if (est.ok()) return est->seconds();
-    const uint32_t w = ids.Find(id);
-    return w != dana::Interner::kInvalidId && w < estimates_by_id.size()
-               ? estimates_by_id[w].seconds()
+    const uint32_t w = catalog.ids().Find(id);
+    const std::vector<dana::SimTime>& estimates = catalog.estimates_by_id();
+    return w != dana::Interner::kInvalidId && w < estimates.size()
+               ? estimates[w].seconds()
                : 0.0;
   };
 }
@@ -829,34 +667,38 @@ std::vector<uint32_t> FirstAppearanceOrder(const std::vector<uint32_t>& wids,
 }
 
 // ---------------------------------------------------------------------------
-// Preemptive (epoch-sliced, event-driven) scheduling path
+// The event-driven scheduling engine
 // ---------------------------------------------------------------------------
 
-/// Event-driven engine for the preemptive features: priority classes,
-/// epoch-boundary preemption of batch runs, and the batch-formation
-/// window. Active executions advance through the executor's slice ABI
-/// (QueryExecutor::Begin); all costs are peeked deterministically, so the
-/// planned completion of a run is exact unless a preemption truncates it.
-class PreemptiveEngine {
+/// Event-driven engine behind every Scheduler run: admission, policy
+/// queues, batch coalescing, slot placement, compile charging, and the
+/// preemptive features — priority classes, epoch-boundary preemption of
+/// batch runs, and the batch-formation window. Active executions advance
+/// through the executor's slice ABI (QueryExecutor::Begin); all costs are
+/// peeked deterministically, so the planned completion of a run is exact
+/// unless a preemption truncates it. With preemption and the window off
+/// the schedule is class-blind and a run is dispatched once and drained in
+/// one slice at its completion.
+class EventEngine {
  public:
-  PreemptiveEngine(const SchedulerOptions& options, QueryExecutor* executor,
-                   const std::vector<QueryRequest>& requests,
-                   const std::vector<uint32_t>& wids,
-                   const std::vector<dana::SimTime>& estimates_by_id,
-                   PendingQueue::EstimateAtFn estimate_at,
-                   std::vector<uint32_t> class_order, ScheduleReport* report)
+  EventEngine(const SchedulerOptions& options, QueryExecutor* executor,
+              const std::vector<QueryRequest>& requests,
+              const std::vector<uint32_t>& wids, const Catalog& catalog,
+              std::vector<uint32_t> class_order)
       : options_(options),
         executor_(executor),
         requests_(requests),
         wids_(wids),
-        report_(report),
-        interactive_(options, requests, wids, estimates_by_id, class_order,
-                     estimate_at),
-        batch_(options, requests, wids, estimates_by_id,
-               std::move(class_order), std::move(estimate_at)),
+        catalog_(catalog),
+        interactive_(options, requests, wids, catalog.estimates_by_id(),
+                     class_order, MakeEstimateAtFn(options, executor, catalog)),
+        batch_(options, requests, wids, catalog.estimates_by_id(),
+               std::move(class_order),
+               MakeEstimateAtFn(options, executor, catalog)),
         active_(options.slots),
         holds_(options.slots),
-        free_since_(options.slots, dana::SimTime::Zero()) {
+        free_since_(options.slots, dana::SimTime::Zero()),
+        slot_event_(options.slots, kNever) {
     if (options_.indexed_queues) {
       // Every slot starts free: seed the intrusive free list in ascending
       // slot order.
@@ -869,9 +711,14 @@ class PreemptiveEngine {
       }
       free_head_ = options_.slots > 0 ? 0 : kNoSlot;
     }
+    report_.policy = options_.policy;
+    report_.slots = options_.slots;
+    report_.queries.reserve(requests.size());
   }
 
-  dana::Status Run() {
+  /// Runs the stream to completion, publishes the sched.* metrics, and
+  /// returns the report.
+  dana::Result<ScheduleReport> Run() {
     dana::SimTime clock;
     while (true) {
       while (true) {
@@ -888,7 +735,8 @@ class PreemptiveEngine {
       DANA_RETURN_NOT_OK(ProcessHoldExpiries(clock));
       DANA_RETURN_NOT_OK(AdmitArrivals(clock));
     }
-    return Status::OK();
+    PublishReportMetrics(report_, options_.metrics);
+    return std::move(report_);
   }
 
   /// Switches the engine to closed-loop feeding: instead of a pre-built
@@ -896,19 +744,17 @@ class PreemptiveEngine {
   /// `requests`/`wids` (the same vectors the engine was constructed over,
   /// handed back mutably here) when its predecessor's *completion event*
   /// plus the think time falls due. Submissions are admitted in
-  /// (submit time, session index) order and ids number them in that order,
-  /// matching the run-to-completion closed loop, so the two paths agree
-  /// whenever no preemption fires. Every session submits its first query
-  /// at time zero. `session_classes` may be empty (all batch).
+  /// (submit time, session index) order and ids number them in that order.
+  /// Every session submits its first query at time zero. `session_classes`
+  /// may be empty (all batch).
   void EnableClosedLoop(std::vector<QueryRequest>* requests,
-                        std::vector<uint32_t>* wids, const dana::Interner* ids,
+                        std::vector<uint32_t>* wids,
                         const std::vector<std::vector<std::string>>* sessions,
                         const std::vector<QueryClass>* session_classes,
                         dana::SimTime think_time) {
     closed_.emplace();
     closed_->requests = requests;
     closed_->wids = wids;
-    closed_->ids = ids;
     closed_->sessions = sessions;
     closed_->session_classes = session_classes;
     closed_->think_time = think_time;
@@ -923,7 +769,8 @@ class PreemptiveEngine {
   struct RunState {
     std::unique_ptr<BatchExecution> exec;
     std::vector<size_t> members;   ///< request indices
-    std::vector<size_t> stat_idx;  ///< indices into report_->queries
+    /// The members' stats are report_.queries[first_stat, + members.size()).
+    size_t first_stat = 0;
     QueryClass cls = QueryClass::kBatch;
     dana::SimTime service_acc;     ///< summed slice occupancy so far
     dana::SimTime shared_acc;
@@ -953,11 +800,18 @@ class PreemptiveEngine {
     return !active_[s].has_value() && !holds_[s].active;
   }
 
-  /// Re-derives slot `s`'s membership in the free-slot list from its
-  /// actual state. Idempotent; called after every active_/holds_ mutation,
-  /// so the list is correct by construction instead of by transition
-  /// bookkeeping. No-op in reference mode (AvailableSlots scans).
+  /// Re-derives slot `s`'s next event time and its membership in the
+  /// free-slot list from its actual state. Idempotent; called after every
+  /// active_/holds_ mutation and every preemption arm or cancel, so both
+  /// are correct by construction instead of by transition bookkeeping.
+  /// The free list is not kept in reference mode (AvailableSlots scans).
   void SyncSlot(uint32_t s) {
+    if (active_[s].has_value()) {
+      slot_event_[s] = active_[s]->preempt_armed ? active_[s]->preempt_free
+                                                 : active_[s]->completion;
+    } else {
+      slot_event_[s] = holds_[s].active ? holds_[s].expires : kNever;
+    }
     if (!options_.indexed_queues) return;
     const bool want = SlotFree(s);
     if (want == static_cast<bool>(in_free_[s])) return;
@@ -997,23 +851,22 @@ class PreemptiveEngine {
     in_free_[s] = want;
   }
 
-  std::vector<uint32_t> AvailableSlots() const {
-    std::vector<uint32_t> out;
+  /// Fills `out` with the free slots in ascending order.
+  void AvailableSlots(std::vector<uint32_t>* out) const {
+    out->clear();
     if (options_.indexed_queues) {
       for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
-        out.push_back(s);
+        out->push_back(s);
       }
-      return out;
+      return;
     }
     for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (SlotFree(s)) out.push_back(s);
+      if (SlotFree(s)) out->push_back(s);
     }
-    return out;
   }
 
-  /// Mirrors the run-to-completion slot rule: among free slots, the one
-  /// free the longest (lowest index on ties); under affinity, the warmest
-  /// (ties by the blind rule).
+  /// Among free slots, the one free the longest (lowest index on ties);
+  /// under affinity, the warmest (ties by the blind rule).
   uint32_t ChooseSlot(const std::vector<uint32_t>& available,
                       const std::string& workload) const {
     uint32_t slot = available[0];
@@ -1051,7 +904,12 @@ class PreemptiveEngine {
   /// fresh batch work (which may instead open a formation hold). Returns
   /// false when nothing could start.
   dana::Result<bool> TryDispatchOne(dana::SimTime now) {
-    std::vector<uint32_t> available = AvailableSlots();
+    if (interactive_.empty() && continuations_.empty() && batch_.empty()) {
+      return false;
+    }
+    // Reused across calls: this runs at least once per event.
+    std::vector<uint32_t>& available = available_;
+    AvailableSlots(&available);
     if (available.empty() && !interactive_.empty()) {
       // Interactive work outranks batch formation: with every free slot
       // held, seize one — its members return to the batch queue (never
@@ -1071,6 +929,7 @@ class PreemptiveEngine {
 
     if (!interactive_.empty()) {
       std::vector<size_t> members;
+      members.reserve(options_.max_batch);
       members.push_back(interactive_.Pop(now, warmth));
       const QueryRequest& head = requests_[members[0]];
       if (options_.max_batch > 1) {
@@ -1102,6 +961,7 @@ class PreemptiveEngine {
 
     if (!batch_.empty()) {
       std::vector<size_t> members;
+      members.reserve(options_.max_batch);
       members.push_back(batch_.Pop(now, warmth));
       const QueryRequest& head = requests_[members[0]];
       if (options_.max_batch > 1) {
@@ -1109,8 +969,7 @@ class PreemptiveEngine {
                              &members);
       }
       const uint32_t slot = ChooseSlot(available, head.workload_id);
-      if (options_.batch_window > dana::SimTime::Zero() &&
-          options_.max_batch > 1 &&
+      if (windowed_ && options_.max_batch > 1 &&
           members.size() < options_.max_batch &&
           next_arrival_ < requests_.size()) {
         // Hold the slot open: future same-algorithm arrivals join until
@@ -1148,6 +1007,7 @@ class PreemptiveEngine {
     a.curve_origin = now + compile_wait;
     DANA_ASSIGN_OR_RETURN(dana::SimTime remaining, exec->PeekService(0));
     a.completion = a.curve_origin + remaining;
+    a.run.first_stat = report_.queries.size();
     for (size_t j = 0; j < a.run.members.size(); ++j) {
       const QueryRequest& req = requests_[a.run.members[j]];
       QueryStat stat;
@@ -1164,14 +1024,13 @@ class PreemptiveEngine {
       stat.os_warm_fraction = exec->os_warm_fraction();
       stat.residency_modeled = exec->residency_modeled();
       if (stat.compile_hit) {
-        ++report_->compile_hits;
+        ++report_.compile_hits;
       } else {
-        ++report_->compile_misses;
+        ++report_.compile_misses;
       }
-      a.run.stat_idx.push_back(report_->queries.size());
-      report_->queries.push_back(std::move(stat));
+      report_.queries.push_back(std::move(stat));
     }
-    ++report_->batches;
+    ++report_.batches;
     if (options_.tracer != nullptr && compile_wait > dana::SimTime::Zero()) {
       options_.tracer->Span(slot, "compile " + head.workload_id, "compile",
                             now, a.curve_origin, {{"hit", !head_miss}});
@@ -1180,7 +1039,8 @@ class PreemptiveEngine {
       options_.tracer->Instant(
           slot, "dispatch " + head.workload_id, "dispatch", now,
           {{"queries", static_cast<uint64_t>(a.run.members.size())},
-           {"class", std::string(QueryClassName(cls))}});
+           {"class", std::string(QueryClassName(cls))},
+           {"warm_fraction", exec->warm_fraction()}});
     }
     a.run.exec = std::move(exec);
     active_[slot] = std::move(a);
@@ -1196,7 +1056,9 @@ class PreemptiveEngine {
     DANA_ASSIGN_OR_RETURN(dana::SimTime remaining, run.exec->PeekService(0));
     a.completion = now + remaining;
     a.run = std::move(run);
-    for (size_t idx : a.run.stat_idx) report_->queries[idx].slot = slot;
+    for (size_t j = 0; j < a.run.members.size(); ++j) {
+      report_.queries[a.run.first_stat + j].slot = slot;
+    }
     obs::Count(options_.metrics, "sched.resumes");
     if (options_.tracer != nullptr) {
       options_.tracer->Instant(
@@ -1304,6 +1166,7 @@ class PreemptiveEngine {
       a.preempt_armed = true;
       a.preempt_epochs = r.plan.epochs;
       a.preempt_free = r.plan.freed;
+      SyncSlot(r.slot);
       ++armed;
     }
     return Status::OK();
@@ -1346,12 +1209,8 @@ class PreemptiveEngine {
     if (closed_.has_value() && !closed_->due.empty()) {
       consider(closed_->due.top().first);
     }
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (active_[s].has_value()) {
-        consider(active_[s]->preempt_armed ? active_[s]->preempt_free
-                                           : active_[s]->completion);
-      }
-      if (holds_[s].active) consider(holds_[s].expires);
+    for (dana::SimTime t : slot_event_) {
+      if (t != kNever) consider(t);
     }
     return any;
   }
@@ -1364,14 +1223,15 @@ class PreemptiveEngine {
     // query.
     size_t freed = 0;
     for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (!active_[s].has_value()) continue;
+      if (slot_event_[s] > now || !active_[s].has_value()) continue;
       if (!active_[s]->preempt_armed && active_[s]->completion <= now) {
         DANA_RETURN_NOT_OK(Complete(s, now));
         ++freed;
       }
     }
+    if (options_.preemption_quantum_epochs == 0) return Status::OK();
     for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (!active_[s].has_value()) continue;
+      if (slot_event_[s] > now || !active_[s].has_value()) continue;
       Active& a = *active_[s];
       if (a.preempt_armed && a.preempt_free <= now) {
         if (interactive_.size() <= freed) {
@@ -1379,6 +1239,7 @@ class PreemptiveEngine {
           // already freed: cancel instead of paying the context switch
           // for nothing (a later arrival re-arms at its next boundary).
           a.preempt_armed = false;
+          SyncSlot(s);
           continue;
         }
         DANA_RETURN_NOT_OK(Preempt(s, now));
@@ -1397,8 +1258,8 @@ class PreemptiveEngine {
     a.run.service_acc += slice.service;
     a.run.shared_acc += slice.shared;
     a.run.per_query_acc += slice.per_query;
-    for (size_t idx : a.run.stat_idx) {
-      QueryStat& stat = report_->queries[idx];
+    for (size_t j = 0; j < a.run.members.size(); ++j) {
+      QueryStat& stat = report_.queries[a.run.first_stat + j];
       stat.slot = slot;
       stat.completion = a.completion;
       stat.service = a.run.service_acc;
@@ -1407,16 +1268,14 @@ class PreemptiveEngine {
       stat.preemptions = a.run.preemptions;
       stat.preempt_overhead = a.run.preempt_overhead_acc;
     }
-    report_->shared_service += a.run.shared_acc;
-    report_->private_service +=
+    report_.shared_service += a.run.shared_acc;
+    report_.private_service +=
         a.run.per_query_acc * static_cast<double>(a.run.members.size());
-    report_->makespan = dana::SimTime::Max(report_->makespan, a.completion);
+    report_.makespan = dana::SimTime::Max(report_.makespan, a.completion);
     if (closed_.has_value()) {
       // Think-time feedback: each member's session schedules its next
-      // submission off this completion. This is exactly the dependency the
-      // run-to-completion closed loop could not express under preemption —
-      // the completion is only known now, at the event, after any
-      // boundary checkpoints truncated or resumed the run.
+      // submission off this completion, which is only known now, at the
+      // event, after any boundary checkpoints truncated or resumed the run.
       for (size_t m : a.run.members) {
         const size_t s = closed_->owner[m];
         if (closed_->next[s] < (*closed_->sessions)[s].size()) {
@@ -1449,8 +1308,8 @@ class PreemptiveEngine {
     a.run.per_query_acc += slice.per_query;
     ++a.run.preemptions;
     a.run.preempt_overhead_acc += options_.context_switch_cost;
-    ++report_->preemptions;
-    report_->preemption_overhead += options_.context_switch_cost;
+    ++report_.preemptions;
+    report_.preemption_overhead += options_.context_switch_cost;
     obs::Count(options_.metrics, "sched.slices");
     obs::Observe(options_.metrics, "sched.ctx_switch_s",
                  options_.context_switch_cost.seconds());
@@ -1472,6 +1331,7 @@ class PreemptiveEngine {
   }
 
   dana::Status ProcessHoldExpiries(dana::SimTime now) {
+    if (!windowed_) return Status::OK();  // no window, no holds
     for (uint32_t s = 0; s < options_.slots; ++s) {
       if (!holds_[s].active || holds_[s].expires > now) continue;
       std::vector<size_t> members = std::move(holds_[s].members);
@@ -1502,7 +1362,7 @@ class PreemptiveEngine {
         req.query_class = closed_->session_classes->empty()
                               ? QueryClass::kBatch
                               : (*closed_->session_classes)[s];
-        closed_->wids->push_back(closed_->ids->Find(req.workload_id));
+        closed_->wids->push_back(catalog_.ids().Find(req.workload_id));
         closed_->requests->push_back(std::move(req));
         closed_->owner.push_back(s);
         ++closed_->next[s];
@@ -1512,7 +1372,7 @@ class PreemptiveEngine {
            requests_[next_arrival_].arrival <= now) {
       const size_t idx = next_arrival_++;
       const QueryRequest& req = requests_[idx];
-      if (req.query_class == QueryClass::kInteractive) {
+      if (req.query_class == QueryClass::kInteractive && prioritized_) {
         // Queued here; the dispatch phase serves it from a free slot and
         // seizes a batch-formation hold only when every free slot is held
         // (TryDispatchOne), so holds survive while idle capacity exists.
@@ -1523,7 +1383,7 @@ class PreemptiveEngine {
       // one has room (lowest slot first); dispatch the hold the moment it
       // fills.
       bool joined = false;
-      for (uint32_t s = 0; s < options_.slots && !joined; ++s) {
+      for (uint32_t s = 0; windowed_ && s < options_.slots && !joined; ++s) {
         if (!holds_[s].active) continue;
         if (wids_[holds_[s].members[0]] != wids_[idx]) continue;
         holds_[s].members.push_back(idx);
@@ -1543,18 +1403,32 @@ class PreemptiveEngine {
   }
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  static constexpr dana::SimTime kNever =
+      dana::SimTime::Nanos(std::numeric_limits<double>::infinity());
 
   const SchedulerOptions& options_;
   QueryExecutor* executor_;
   const std::vector<QueryRequest>& requests_;
   const std::vector<uint32_t>& wids_;
-  ScheduleReport* report_;
+  const Catalog& catalog_;
+  ScheduleReport report_;
   PendingQueue interactive_;
   PendingQueue batch_;
   std::vector<std::optional<Active>> active_;
   std::vector<Hold> holds_;
   std::vector<dana::SimTime> free_since_;
+  /// Each slot's next event (SyncSlot): the planned completion or armed
+  /// preemption of its run, or its hold's expiry; kNever when idle.
+  std::vector<dana::SimTime> slot_event_;
   std::vector<RunState> continuations_;
+  std::vector<uint32_t> available_;  ///< TryDispatchOne's free-slot scratch
+  /// batch_window > 0: formation holds exist only then.
+  const bool windowed_ = options_.batch_window > dana::SimTime::Zero();
+  /// Priority classes act only with a preemptive feature armed; otherwise
+  /// the class is recorded for SLO reporting and every query waits in the
+  /// batch queue, so the schedule is class-blind.
+  const bool prioritized_ =
+      windowed_ || options_.preemption_quantum_epochs != 0;
   CompileReadyTable compile_ready_;
   size_t next_arrival_ = 0;
 
@@ -1565,7 +1439,6 @@ class PreemptiveEngine {
   struct ClosedLoop {
     std::vector<QueryRequest>* requests = nullptr;
     std::vector<uint32_t>* wids = nullptr;
-    const dana::Interner* ids = nullptr;
     const std::vector<std::vector<std::string>>* sessions = nullptr;
     const std::vector<QueryClass>* session_classes = nullptr;
     dana::SimTime think_time;
@@ -1594,105 +1467,16 @@ Result<ScheduleReport> Scheduler::Run(std::vector<QueryRequest> requests) {
                      if (a.arrival != b.arrival) return a.arrival < b.arrival;
                      return a.id < b.id;
                    });
-
-  // Intern every workload id once at admission: the engines key their
-  // estimate tables, compile charging, and per-class queues by these dense
-  // ids, so nothing on the per-event path hashes or compares strings.
-  dana::Interner ids;
+  Catalog catalog(options_.policy, executor_);
   std::vector<uint32_t> wids;
   wids.reserve(requests.size());
-  for (const QueryRequest& r : requests) wids.push_back(ids.Intern(r.workload_id));
-
-  // SJF orders by a-priori estimates; resolve them once per workload (in
-  // first-appearance order, matching the historical resolution order) so
-  // admission decisions are O(queue), not O(executor).
-  std::vector<dana::SimTime> estimates_by_id;
-  if (options_.policy == Policy::kSjf) {
-    estimates_by_id.resize(ids.size());
-    std::vector<uint8_t> resolved(ids.size(), 0);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const uint32_t w = wids[i];
-      if (resolved[w]) continue;
-      DANA_ASSIGN_OR_RETURN(estimates_by_id[w],
-                            executor_->Estimate(requests[i].workload_id));
-      resolved[w] = 1;
-    }
+  for (const QueryRequest& r : requests) {
+    DANA_ASSIGN_OR_RETURN(uint32_t w, catalog.Add(r.workload_id));
+    wids.push_back(w);
   }
-
-  if (options_.preemption_quantum_epochs != 0 ||
-      options_.batch_window > dana::SimTime::Zero()) {
-    return RunPreemptive(std::move(requests), ids, wids, estimates_by_id);
-  }
-
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    return RunThreadedRtc(std::move(requests), ids, wids, estimates_by_id);
-  }
-
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(requests.size());
-
-  PendingQueue pending(options_, requests, wids, estimates_by_id,
-                       FirstAppearanceOrder(wids, ids.size()),
-                       MakeEstimateAtFn(options_, executor_, ids,
-                                        estimates_by_id));
-  DispatchEngine engine(options_, executor_, requests, wids, &report);
-  size_t next_arrival = 0;
-  // Monotone dispatch clock: a query admitted during an idle advance must
-  // not start before its arrival just because another slot's free time is
-  // still in the past.
-  dana::SimTime clock;
-
-  while (next_arrival < requests.size() || !pending.empty()) {
-    const uint32_t slot = engine.NextSlot();
-    dana::SimTime now = dana::SimTime::Max(engine.slot_free(slot), clock);
-    if (pending.empty()) {
-      // Idle until the next request arrives.
-      now = dana::SimTime::Max(now, requests[next_arrival].arrival);
-    }
-    while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival <= now) {
-      pending.Push(next_arrival++);
-    }
-    DANA_RETURN_NOT_OK(engine.Dispatch(pending, now).status());
-    clock = now;
-  }
-  PublishReportMetrics(report, options_.metrics);
-  return report;
-}
-
-Result<ScheduleReport> Scheduler::RunPreemptive(
-    std::vector<QueryRequest> requests, const dana::Interner& ids,
-    const std::vector<uint32_t>& wids,
-    const std::vector<dana::SimTime>& estimates_by_id) {
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(requests.size());
-
-  // Threaded runtime: every execution-state call runs on the owning
-  // slot's worker thread through the proxy, awaited in oracle order, so
-  // the event-driven schedule is unchanged (see RuntimeMode::kThreaded).
-  // The pool outlives the proxy and the engine; its destructor joins.
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  QueryExecutor* exec = executor_;
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    executor_->PrepareSlots(options_.slots);
-    workers = std::make_unique<SlotWorkerPool>(options_.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor_, workers.get());
-    exec = proxy.get();
-  }
-
-  PreemptiveEngine engine(options_, exec, requests, wids,
-                          estimates_by_id,
-                          MakeEstimateAtFn(options_, exec, ids,
-                                           estimates_by_id),
-                          FirstAppearanceOrder(wids, ids.size()), &report);
-  DANA_RETURN_NOT_OK(engine.Run());
-  PublishReportMetrics(report, options_.metrics);
-  return report;
+  EventEngine engine(options_, executor_, requests, wids, catalog,
+                     FirstAppearanceOrder(wids, catalog.ids().size()));
+  return engine.Run();
 }
 
 Result<ScheduleReport> Scheduler::RunClosedLoop(
@@ -1709,200 +1493,34 @@ Result<ScheduleReport> Scheduler::RunClosedLoop(
   // half): a formation hold defers the completions closed-loop sessions
   // submit from, and the hold logic keys off the *open-stream* arrival
   // horizon (next_arrival_), which a think-time feeder cannot pre-compute.
-  // Preemption itself composes now — the event-driven engine materializes
-  // each submission at its predecessor's completion event — so only this
-  // knob still gets an actionable rejection naming the option to drop.
   if (options_.batch_window > dana::SimTime::Zero()) {
     return Status::InvalidArgument(
         "batch_window is an open-stream feature: a held slot defers the "
         "completions closed-loop sessions submit from; set the window to "
         "zero (see ROADMAP closed-loop preemption follow-up)");
   }
-  if (options_.preemption_quantum_epochs != 0) {
-    return RunClosedLoopPreemptive(sessions, think_time, session_classes);
-  }
-  size_t total = 0;
-  for (const auto& script : sessions) total += script.size();
 
-  // Intern every script id up front (the whole catalog is known before the
-  // first submission) in interleaved first-submission order — session 0's
-  // first query, session 1's first, ... — which is also the RR class
-  // rotation order.
-  dana::Interner ids;
+  // The whole catalog is known before the first submission: add it script
+  // by script (the SJF estimate-resolution order). Round-robin rotates
+  // classes in interleaved first-submission order instead — session 0's
+  // first query, session 1's first, ...
+  Catalog catalog(options_.policy, executor_);
+  size_t total = 0;
+  for (const auto& script : sessions) {
+    total += script.size();
+    for (const std::string& id : script) {
+      DANA_RETURN_NOT_OK(catalog.Add(id).status());
+    }
+  }
   std::vector<uint32_t> submit_order_wids;
-  for (size_t j = 0;; ++j) {
-    bool any = false;
+  submit_order_wids.reserve(total);
+  for (size_t j = 0; submit_order_wids.size() < total; ++j) {
     for (const auto& script : sessions) {
       if (j < script.size()) {
-        submit_order_wids.push_back(ids.Intern(script[j]));
-        any = true;
-      }
-    }
-    if (!any) break;
-  }
-
-  std::vector<dana::SimTime> estimates_by_id;
-  if (options_.policy == Policy::kSjf) {
-    estimates_by_id.resize(ids.size());
-    std::vector<uint8_t> resolved(ids.size(), 0);
-    // Historical resolution order: script by script.
-    for (const auto& script : sessions) {
-      for (const std::string& id : script) {
-        const uint32_t w = ids.Find(id);
-        if (resolved[w]) continue;
-        DANA_ASSIGN_OR_RETURN(estimates_by_id[w], executor_->Estimate(id));
-        resolved[w] = 1;
+        submit_order_wids.push_back(catalog.ids().Find(script[j]));
       }
     }
   }
-
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(total);
-
-  // Per-session state. A session has at most one query in the system: the
-  // next submission time is known as soon as the previous query dispatches
-  // (its completion is computed then), so submissions never block on
-  // unknown events.
-  struct Session {
-    size_t next = 0;                ///< next script position to submit
-    dana::SimTime submit;           ///< when that query enters the queue
-    bool outstanding = false;       ///< submitted but not yet dispatched
-  };
-  std::vector<Session> state(sessions.size());
-
-  std::vector<QueryRequest> requests;
-  requests.reserve(total);
-  std::vector<uint32_t> wids;  ///< parallel to requests (grows with it)
-  wids.reserve(total);
-  std::vector<size_t> owner;  ///< request index -> session index
-  owner.reserve(total);
-
-  // Threaded runtime for the closed loop: proxy every dispatch onto its
-  // slot's worker, awaited per call (submissions depend on completions, so
-  // there is no same-tick overlap to exploit here).
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  QueryExecutor* exec = executor_;
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    executor_->PrepareSlots(options_.slots);
-    workers = std::make_unique<SlotWorkerPool>(options_.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor_, workers.get());
-    exec = proxy.get();
-  }
-
-  PendingQueue pending(options_, requests, wids, estimates_by_id,
-                       FirstAppearanceOrder(submit_order_wids, ids.size()),
-                       MakeEstimateAtFn(options_, exec, ids,
-                                        estimates_by_id));
-  DispatchEngine engine(options_, exec, requests, wids, &report);
-  uint64_t next_id = 0;
-  // Monotone dispatch clock (see Run): keeps a second idle slot from
-  // dispatching a session's submission before its submit time.
-  dana::SimTime clock;
-
-  auto earliest_submission = [&](dana::SimTime* when) {
-    bool any = false;
-    for (size_t s = 0; s < state.size(); ++s) {
-      if (state[s].next >= sessions[s].size() || state[s].outstanding) {
-        continue;
-      }
-      if (!any || state[s].submit < *when) *when = state[s].submit;
-      any = true;
-    }
-    return any;
-  };
-
-  while (true) {
-    const uint32_t slot = engine.NextSlot();
-    dana::SimTime now = dana::SimTime::Max(engine.slot_free(slot), clock);
-    if (pending.empty()) {
-      dana::SimTime next_submit;
-      if (!earliest_submission(&next_submit)) break;  // all sessions drained
-      now = dana::SimTime::Max(now, next_submit);
-    }
-    // Admit every session whose next submission is due, in (submit time,
-    // session index) order so the queue stays arrival-ordered.
-    std::vector<size_t> ready;
-    for (size_t s = 0; s < state.size(); ++s) {
-      if (state[s].next < sessions[s].size() && !state[s].outstanding &&
-          state[s].submit <= now) {
-        ready.push_back(s);
-      }
-    }
-    std::stable_sort(ready.begin(), ready.end(), [&](size_t a, size_t b) {
-      return state[a].submit < state[b].submit;
-    });
-    for (size_t s : ready) {
-      QueryRequest req;
-      req.id = next_id++;
-      req.workload_id = sessions[s][state[s].next];
-      req.arrival = state[s].submit;
-      req.query_class = session_classes.empty() ? QueryClass::kBatch
-                                                : session_classes[s];
-      wids.push_back(ids.Find(req.workload_id));
-      requests.push_back(std::move(req));
-      owner.push_back(s);
-      pending.Push(requests.size() - 1);
-      ++state[s].next;
-      state[s].outstanding = true;
-    }
-    DANA_ASSIGN_OR_RETURN(DispatchOutcome outcome,
-                          engine.Dispatch(pending, now));
-    clock = now;
-    for (size_t m : outcome.members) {
-      Session& s = state[owner[m]];
-      s.outstanding = false;
-      s.submit = outcome.completion + think_time;
-    }
-  }
-  PublishReportMetrics(report, options_.metrics);
-  return report;
-}
-
-Result<ScheduleReport> Scheduler::RunClosedLoopPreemptive(
-    const std::vector<std::vector<std::string>>& sessions,
-    dana::SimTime think_time,
-    const std::vector<QueryClass>& session_classes) {
-  size_t total = 0;
-  for (const auto& script : sessions) total += script.size();
-
-  // Same interning and estimate-resolution orders as the run-to-completion
-  // closed loop (interleaved first-submission interning, script-by-script
-  // estimates), so the two paths price and rotate classes identically and
-  // agree bit for bit whenever no preemption actually fires.
-  dana::Interner ids;
-  std::vector<uint32_t> submit_order_wids;
-  for (size_t j = 0;; ++j) {
-    bool any = false;
-    for (const auto& script : sessions) {
-      if (j < script.size()) {
-        submit_order_wids.push_back(ids.Intern(script[j]));
-        any = true;
-      }
-    }
-    if (!any) break;
-  }
-
-  std::vector<dana::SimTime> estimates_by_id;
-  if (options_.policy == Policy::kSjf) {
-    estimates_by_id.resize(ids.size());
-    std::vector<uint8_t> resolved(ids.size(), 0);
-    for (const auto& script : sessions) {
-      for (const std::string& id : script) {
-        const uint32_t w = ids.Find(id);
-        if (resolved[w]) continue;
-        DANA_ASSIGN_OR_RETURN(estimates_by_id[w], executor_->Estimate(id));
-        resolved[w] = 1;
-      }
-    }
-  }
-
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(total);
 
   // The engine borrows these vectors by reference and the feeder appends
   // to them through EnableClosedLoop; entries are always addressed by
@@ -1911,130 +1529,12 @@ Result<ScheduleReport> Scheduler::RunClosedLoopPreemptive(
   std::vector<uint32_t> wids;
   requests.reserve(total);
   wids.reserve(total);
-
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  QueryExecutor* exec = executor_;
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    executor_->PrepareSlots(options_.slots);
-    workers = std::make_unique<SlotWorkerPool>(options_.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor_, workers.get());
-    exec = proxy.get();
-  }
-
-  PreemptiveEngine engine(options_, exec, requests, wids, estimates_by_id,
-                          MakeEstimateAtFn(options_, exec, ids,
-                                           estimates_by_id),
-                          FirstAppearanceOrder(submit_order_wids, ids.size()),
-                          &report);
-  engine.EnableClosedLoop(&requests, &wids, &ids, &sessions, &session_classes,
+  EventEngine engine(options_, executor_, requests, wids, catalog,
+                     FirstAppearanceOrder(submit_order_wids,
+                                          catalog.ids().size()));
+  engine.EnableClosedLoop(&requests, &wids, &sessions, &session_classes,
                           think_time);
-  DANA_RETURN_NOT_OK(engine.Run());
-  PublishReportMetrics(report, options_.metrics);
-  return report;
-}
-
-Result<ScheduleReport> Scheduler::RunThreadedRtc(
-    std::vector<QueryRequest> requests, const dana::Interner& ids,
-    const std::vector<uint32_t>& wids,
-    const std::vector<dana::SimTime>& estimates_by_id) {
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(requests.size());
-
-  executor_->PrepareSlots(options_.slots);
-  SlotWorkerPool workers(options_.slots);
-
-  PendingQueue pending(options_, requests, wids, estimates_by_id,
-                       FirstAppearanceOrder(wids, ids.size()),
-                       MakeEstimateAtFn(options_, executor_, ids,
-                                        estimates_by_id));
-  DispatchEngine engine(options_, executor_, requests, wids, &report);
-
-  // The overlap protocol. Decisions (queue pops, slot choice) stay on this
-  // thread in oracle order; each decision's executor pricing ships to its
-  // slot's worker as a ticket. Further decisions are issued only while
-  // they land on the *current* tick with a free (non-busy) slot — at a
-  // shared tick the oracle's decision inputs are independent of the
-  // in-flight pricings: busy slots are excluded from slot choice and
-  // warmth reads in both modes (their committed free times exceed the
-  // tick, costs being strictly positive), and per-slot executor state is
-  // partitioned by slot. Anything that would advance time instead commits
-  // the head ticket — Charge, stats, slot free time, makespan, spans — in
-  // ticket order, reproducing the simulated report bit for bit (including
-  // float summation order).
-  struct Ticket {
-    DispatchEngine::Decision decision;
-    dana::SimTime now;
-    std::shared_ptr<WaitCell<dana::Result<BatchCost>>> cell;
-  };
-  std::deque<Ticket> inflight;
-  std::vector<uint8_t> busy(options_.slots, 0);
-
-  size_t next_arrival = 0;
-  dana::SimTime clock;
-
-  auto admit = [&](dana::SimTime now) {
-    while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival <= now) {
-      pending.Push(next_arrival++);
-    }
-  };
-  auto issue = [&](dana::SimTime now) {
-    Ticket t;
-    t.decision = engine.Decide(pending, now, &busy);
-    t.now = now;
-    t.cell = std::make_shared<WaitCell<dana::Result<BatchCost>>>();
-    busy[t.decision.slot] = 1;
-    QueryExecutor* exec = executor_;
-    workers.Post(t.decision.slot,
-                 [exec, batch = t.decision.batch, cell = t.cell] {
-                   cell->Set(exec->Dispatch(batch));
-                 });
-    inflight.push_back(std::move(t));
-    clock = now;
-  };
-  auto commit_head = [&]() -> dana::Status {
-    Ticket t = std::move(inflight.front());
-    inflight.pop_front();
-    dana::Result<BatchCost> cost = t.cell->Take();
-    busy[t.decision.slot] = 0;
-    if (!cost.ok()) return cost.status();
-    return engine.Commit(std::move(t.decision), t.now, *cost).status();
-  };
-
-  while (true) {
-    const bool work_left =
-        next_arrival < requests.size() || !pending.empty();
-    if (!work_left && inflight.empty()) break;
-    bool issued = false;
-    if (work_left) {
-      if (inflight.empty()) {
-        // Everything committed: this iteration is exactly the simulated
-        // loop's, including idle advances to the next arrival.
-        const uint32_t slot = engine.NextSlot();
-        dana::SimTime now = dana::SimTime::Max(engine.slot_free(slot), clock);
-        if (pending.empty()) {
-          now = dana::SimTime::Max(now, requests[next_arrival].arrival);
-        }
-        admit(now);
-        issue(now);
-        issued = true;
-      } else if (engine.HasFreeSlotAt(clock, busy)) {
-        admit(clock);
-        if (!pending.empty()) {
-          issue(clock);
-          issued = true;
-        }
-      }
-    }
-    if (!issued) {
-      DANA_RETURN_NOT_OK(commit_head());
-    }
-  }
-  PublishReportMetrics(report, options_.metrics);
-  return report;
+  return engine.Run();
 }
 
 }  // namespace dana::sched

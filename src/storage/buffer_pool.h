@@ -338,11 +338,9 @@ class BufferPool {
 /// Resize and the lazily-growing pool(i) serialize on an internal mutex,
 /// and returned BufferPool pointers are stable (pools are heap-allocated
 /// and never destroyed before the group). Each *pool* itself is
-/// externally synchronized: in the threaded runtime, slot i's pool is
-/// touched only by slot i's worker (or by the coordinator while that slot
-/// is idle), which is the partition the scheduler guarantees. Callers
-/// should still PrepareSlots/Resize up front so steady-state pool(i)
-/// calls are pure reads.
+/// externally synchronized: callers that touch pools from several threads
+/// must give each thread its own slots, and should Resize up front so
+/// steady-state pool(i) calls are pure reads.
 class BufferPoolGroup {
  public:
   /// Sizing template applied to every pool in the group; `Resize` creates

@@ -9,17 +9,16 @@
 //  - the executor slice ABI: DanaQueryExecutor's slice costs telescope to
 //    the unsegmented Dispatch charge, and Resume re-prices the remainder
 //    from the new slot's residency;
-//  - the scheduler's preemptive path: priority classes, epoch-boundary
-//    preemption with a bounded interactive latency, the batching window,
-//    and bit-identity of the knobs-off path with the run-to-completion
-//    scheduler.
+//  - the scheduler's preemptive features: priority classes, epoch-boundary
+//    preemption with a bounded interactive latency (open stream and closed
+//    loop), the batching window, and bit-identity of an armed quantum that
+//    never fires with the knobs-off schedule.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,9 +28,12 @@
 #include "ml/algorithms.h"
 #include "ml/datasets.h"
 #include "ml/workloads.h"
+#include "obs/json.h"
+#include "obs/trace.h"
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
+#include "sliced_executor.h"
 #include "storage/buffer_pool.h"
 
 namespace dana {
@@ -297,142 +299,7 @@ TEST(ExecutorSliceTest, SliceUpdatesResidencyPerSweep) {
 // Scheduler preemptive path (synthetic epoch-sliced executor)
 // ---------------------------------------------------------------------------
 
-/// Deterministic synthetic epoch-sliced execution: every epoch of `id`
-/// costs shared_s + size * per_query_s seconds of slot occupancy, over
-/// `epochs` epochs. Warmth is static unless pinned with SetWarm (Resume
-/// never re-prices either way); pinned warmth marks the run
-/// residency-modeled so the scheduler's cold-resume-loss tie-break sees
-/// it.
-class SlicedExecutor : public sched::QueryExecutor {
- public:
-  void Set(const std::string& id, uint32_t epochs, double epoch_shared_s,
-           double epoch_per_query_s, double estimate_s,
-           double compile_s = 0.0) {
-    specs_[id] = {epochs, epoch_shared_s, epoch_per_query_s, compile_s};
-    estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  /// Pins `id`'s warmth on `slot` (and marks its runs residency-modeled):
-  /// the victim tie-break prices what a cold resume of it would forfeit.
-  void SetWarm(const std::string& id, uint32_t slot, double fraction) {
-    warmth_[{id, slot}] = fraction;
-    modeled_.insert(id);
-  }
-
-  /// Pins the fully-warm estimate; EstimateAtWarmth then interpolates
-  /// between Estimate() (cold) and this, like the Dana executor's own
-  /// cold/warm pricing. Unset ids estimate warmth-blind.
-  void SetWarmEstimate(const std::string& id, double estimate_s) {
-    warm_estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  double WarmFraction(const std::string& id, uint32_t slot) override {
-    auto it = warmth_.find({id, slot});
-    return it == warmth_.end() ? 0.0 : it->second;
-  }
-
-  Result<dana::SimTime> EstimateAtWarmth(const std::string& id,
-                                         double warm_fraction) override {
-    auto warm = warm_estimates_.find(id);
-    if (warm == warm_estimates_.end()) return Estimate(id);
-    DANA_ASSIGN_OR_RETURN(dana::SimTime cold, Estimate(id));
-    return warm->second + (cold - warm->second) * (1.0 - warm_fraction);
-  }
-
-  Result<std::unique_ptr<sched::BatchExecution>> Begin(
-      const sched::QueryBatch& batch) override {
-    auto it = specs_.find(batch.workload_id);
-    if (it == specs_.end()) return Status::NotFound(batch.workload_id);
-    begun_.push_back(batch);
-    return std::unique_ptr<sched::BatchExecution>(new Execution(
-        batch, it->second, WarmFraction(batch.workload_id, batch.slot),
-        modeled_.count(batch.workload_id) > 0));
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    auto it = estimates_.find(id);
-    if (it == estimates_.end()) return Status::NotFound(id);
-    return it->second;
-  }
-
-  const std::vector<sched::QueryBatch>& begun() const { return begun_; }
-
- private:
-  struct Spec {
-    uint32_t epochs;
-    double shared_s;
-    double per_query_s;
-    double compile_s;
-  };
-
-  class Execution : public sched::BatchExecution {
-   public:
-    Execution(sched::QueryBatch batch, Spec spec, double warm = 0.0,
-              bool modeled = false)
-        : BatchExecution(std::move(batch)),
-          spec_(spec),
-          warm_(warm),
-          modeled_(modeled) {}
-
-    uint32_t total_epochs() const override { return spec_.epochs; }
-    uint32_t epochs_run() const override { return done_; }
-    dana::SimTime compile_cost() const override {
-      return dana::SimTime::Seconds(spec_.compile_s);
-    }
-    double warm_fraction() const override { return warm_; }
-    bool residency_modeled() const override { return modeled_; }
-
-    dana::SimTime EpochCost() const {
-      return dana::SimTime::Seconds(
-          spec_.shared_s + spec_.per_query_s * batch_.size());
-    }
-
-    Result<sched::SliceCost> NextSlice(uint32_t max_epochs) override {
-      const uint32_t remaining = spec_.epochs - done_;
-      if (remaining == 0) {
-        return Status::FailedPrecondition("already finished");
-      }
-      const uint32_t n =
-          max_epochs == 0 ? remaining : std::min(max_epochs, remaining);
-      sched::SliceCost s;
-      s.epochs = n;
-      s.service = EpochCost() * static_cast<double>(n);
-      s.shared = dana::SimTime::Seconds(spec_.shared_s) *
-                 static_cast<double>(n);
-      s.per_query = dana::SimTime::Seconds(spec_.per_query_s) *
-                    static_cast<double>(n);
-      done_ += n;
-      s.finished = done_ == spec_.epochs;
-      return s;
-    }
-
-    Result<dana::SimTime> PeekService(uint32_t epochs) const override {
-      const uint32_t remaining = spec_.epochs - done_;
-      const uint32_t n =
-          epochs == 0 ? remaining : std::min(epochs, remaining);
-      return EpochCost() * static_cast<double>(n);
-    }
-
-    Status Checkpoint() override { return Status::OK(); }
-    Status Resume(uint32_t slot) override {
-      batch_.slot = slot;
-      return Status::OK();
-    }
-
-   private:
-    Spec spec_;
-    double warm_;
-    bool modeled_;
-    uint32_t done_ = 0;
-  };
-
-  std::map<std::string, Spec> specs_;
-  std::map<std::string, dana::SimTime> estimates_;
-  std::map<std::string, dana::SimTime> warm_estimates_;
-  std::map<std::pair<std::string, uint32_t>, double> warmth_;
-  std::set<std::string> modeled_;
-  std::vector<sched::QueryBatch> begun_;
-};
+using sched::SlicedExecutor;
 
 sched::QueryRequest Req(uint64_t id, const std::string& workload,
                         double arrival_s,
@@ -703,6 +570,59 @@ TEST(PreemptionTest, ResumedRunKeepsItsGlobalBoundaryPhase) {
   }
 }
 
+TEST(PreemptionTest, NegativeContextSwitchCostNeverOverlapsRuns) {
+  // A negative switch cost would free the preempted slot before its epoch
+  // boundary, so the interactive query would start while the batch run
+  // still held the slot. The scheduler clamps the cost to zero.
+  SlicedExecutor exec;
+  exec.Set("training", /*epochs=*/10, /*shared=*/0.5, /*pq=*/0.0,
+           /*estimate=*/5);
+  exec.Set("lookup", /*epochs=*/1, /*shared=*/0.25, /*pq=*/0.0,
+           /*estimate=*/0.25);
+  std::vector<sched::QueryRequest> reqs = {
+      Req(0, "training", 0),
+      Req(1, "lookup", 0.5, sched::QueryClass::kInteractive)};
+  obs::SlotTracer tracer;
+  sched::Scheduler sched({.slots = 1,
+                          .policy = sched::Policy::kFcfs,
+                          .preemption_quantum_epochs = 2,
+                          .context_switch_cost = dana::SimTime::Seconds(-5),
+                          .tracer = &tracer},
+                         &exec);
+  auto report = sched.Run(reqs);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->preemptions, 1u);
+  EXPECT_GE(report->preemption_overhead.nanos(), 0.0);
+  for (const sched::QueryStat& q : report->queries) {
+    EXPECT_GE(q.preempt_overhead.nanos(), 0.0) << "query " << q.id;
+  }
+
+  // Every span that occupies a slot (compile, run slice, context switch)
+  // ends before the next one on that slot begins.
+  std::map<double, std::vector<std::pair<double, double>>> by_slot;
+  const obs::Json doc = tracer.ToJson();
+  for (const obs::Json& e : doc.Find("traceEvents")->items()) {
+    const obs::Json* ph = e.Find("ph");
+    const obs::Json* cat = e.Find("cat");
+    if (ph == nullptr || ph->AsString() != "X" || cat == nullptr) continue;
+    if (cat->AsString() != "compile" && cat->AsString() != "slice" &&
+        cat->AsString() != "preempt") {
+      continue;
+    }
+    const double ts = e.Find("ts")->AsNumber();
+    by_slot[e.Find("tid")->AsNumber()].emplace_back(
+        ts, ts + e.Find("dur")->AsNumber());
+  }
+  ASSERT_FALSE(by_slot.empty());
+  for (auto& [slot, spans] : by_slot) {
+    std::sort(spans.begin(), spans.end());
+    for (size_t i = 1; i < spans.size(); ++i) {
+      EXPECT_LE(spans[i - 1].second, spans[i].first)
+          << "slot " << slot << " span " << i;
+    }
+  }
+}
+
 TEST(PreemptionTest, ExecutorOverridingNeitherDispatchNorBeginErrors) {
   // Dispatch and Begin are defaulted in terms of each other; a subclass
   // implementing neither must get a status, not a stack overflow.
@@ -777,45 +697,58 @@ TEST(PreemptionTest, NoInteractiveWaitersMeansNoPreemptions) {
 }
 
 TEST(PreemptionTest, EventDrivenPathWithNothingToPreemptMatchesLegacy) {
-  // An all-batch stream under the event-driven path (quantum armed but no
-  // interactive query ever waits) must reproduce the run-to-completion
-  // schedule bit for bit: the preemptive machinery may not perturb
-  // dispatch order, slot choice, or timing when it never fires.
+  // An all-batch stream or set of sessions (quantum armed but no
+  // interactive query ever waits) must reproduce the quantum-off schedule
+  // bit for bit: the preemptive machinery may not perturb dispatch order,
+  // slot choice, timing, or charges when it never fires.
   SlicedExecutor sliced;
-  sliced.Set("x", 4, 1.0, 0.5, 6);
-  sliced.Set("y", 8, 0.5, 0.25, 6);
+  sliced.Set("x", 4, 1.0, 0.5, 6, 0.5);
+  sliced.Set("y", 8, 0.5, 0.25, 6, 0.25);
   sched::DriverOptions opts;
   opts.num_queries = 60;
   opts.arrival_rate_qps = 0.4;
   sched::WorkloadDriver driver({"x", "y"}, opts);
   auto stream = driver.Generate();
   ASSERT_TRUE(stream.ok());
-  for (sched::Policy policy :
-       {sched::Policy::kFcfs, sched::Policy::kSjf,
-        sched::Policy::kRoundRobin}) {
-    auto off = sched::Scheduler({.slots = 2,
-                                 .policy = policy,
-                                 .max_batch = 2},
-                                &sliced)
-                   .Run(*stream);
-    auto on = sched::Scheduler({.slots = 2,
-                                .policy = policy,
-                                .max_batch = 2,
-                                .preemption_quantum_epochs = 3,
-                                .context_switch_cost =
-                                    dana::SimTime::Seconds(9)},
-                               &sliced)
-                  .Run(*stream);
-    ASSERT_TRUE(off.ok() && on.ok());
-    ASSERT_EQ(off->queries.size(), on->queries.size());
-    for (size_t i = 0; i < off->queries.size(); ++i) {
-      EXPECT_EQ(off->queries[i].id, on->queries[i].id);
-      EXPECT_EQ(off->queries[i].slot, on->queries[i].slot);
-      EXPECT_EQ(off->queries[i].start.nanos(), on->queries[i].start.nanos());
-      EXPECT_EQ(off->queries[i].completion.nanos(),
-                on->queries[i].completion.nanos());
+  const std::vector<std::vector<std::string>> sessions = {
+      {"x", "y", "x"}, {"y", "x"}, {"x", "x", "x"}, {"y"}};
+  for (bool closed : {false, true}) {
+    for (sched::Policy policy :
+         {sched::Policy::kFcfs, sched::Policy::kSjf,
+          sched::Policy::kRoundRobin}) {
+      auto run = [&](uint32_t quantum) {
+        sched::Scheduler scheduler(
+            {.slots = 2,
+             .policy = policy,
+             .max_batch = 2,
+             .preemption_quantum_epochs = quantum,
+             .context_switch_cost = dana::SimTime::Seconds(9)},
+            &sliced);
+        return closed ? scheduler.RunClosedLoop(sessions,
+                                                dana::SimTime::Seconds(0.5))
+                      : scheduler.Run(*stream);
+      };
+      auto off = run(0);
+      auto on = run(3);
+      ASSERT_TRUE(off.ok() && on.ok());
+      ASSERT_EQ(off->queries.size(), on->queries.size());
+      for (size_t i = 0; i < off->queries.size(); ++i) {
+        const sched::QueryStat& a = off->queries[i];
+        const sched::QueryStat& b = on->queries[i];
+        EXPECT_EQ(a.id, b.id) << "position " << i;
+        EXPECT_EQ(a.slot, b.slot) << "query " << a.id;
+        EXPECT_EQ(a.start.nanos(), b.start.nanos()) << "query " << a.id;
+        EXPECT_EQ(a.completion.nanos(), b.completion.nanos())
+            << "query " << a.id;
+        EXPECT_EQ(a.service.nanos(), b.service.nanos()) << "query " << a.id;
+        EXPECT_EQ(a.compile.nanos(), b.compile.nanos()) << "query " << a.id;
+        EXPECT_EQ(a.batch_size, b.batch_size) << "query " << a.id;
+      }
+      EXPECT_EQ(off->makespan.nanos(), on->makespan.nanos());
+      EXPECT_EQ(off->compile_hits, on->compile_hits);
+      EXPECT_EQ(off->batches, on->batches);
+      EXPECT_EQ(on->preemptions, 0u);
     }
-    EXPECT_EQ(on->preemptions, 0u);
   }
 }
 
@@ -893,6 +826,44 @@ TEST(PreemptionTest, ClosedLoopRejectsPreemptiveKnobs) {
 }
 
 // ---------------------------------------------------------------------------
+// Closed-loop preemption
+// ---------------------------------------------------------------------------
+
+TEST(ClosedLoopPreemptionTest, InteractiveSessionPreemptsBatchTraining) {
+  // One slot, a long batch training session against an interactive
+  // lookup session: closed-loop preemption must checkpoint the training
+  // at epoch boundaries so the interactive queries get in.
+  const std::vector<std::vector<std::string>> sessions = {
+      {"train", "train"},
+      {"lookup", "lookup", "lookup"},
+  };
+  const std::vector<sched::QueryClass> classes = {
+      sched::QueryClass::kBatch, sched::QueryClass::kInteractive};
+  SlicedExecutor exec;
+  exec.Set("train", 12, 2.0, 1.0, 26.0, 1.0);
+  exec.Set("lookup", 1, 1.5, 0.5, 2.0, 0.2);
+  sched::Scheduler scheduler(
+      {.slots = 1,
+       .policy = sched::Policy::kFcfs,
+       .preemption_quantum_epochs = 2,
+       .context_switch_cost = dana::SimTime::Millis(100)},
+      &exec);
+  auto report =
+      scheduler.RunClosedLoop(sessions, dana::SimTime::Seconds(1), classes);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->queries.size(), 5u);
+  EXPECT_EQ(report->ClassQueries(sched::QueryClass::kInteractive), 3u);
+  EXPECT_GE(report->preemptions, 1u);
+  // Preempting works: no interactive query waits out a full training run
+  // (12 epochs x 3s); it rides in at the next armed epoch boundary.
+  for (const sched::QueryStat& q : report->queries) {
+    if (q.query_class == sched::QueryClass::kInteractive) {
+      EXPECT_LT(q.Wait().seconds(), 12.0 * 3.0) << "query " << q.id;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Batching window
 // ---------------------------------------------------------------------------
 
@@ -962,36 +933,6 @@ TEST(BatchWindowTest, InteractiveArrivalSeizesTheHeldSlot) {
   EXPECT_DOUBLE_EQ(report->queries[0].start.seconds(), 1.0);
   EXPECT_DOUBLE_EQ(report->queries[0].completion.seconds(), 2.0);
   EXPECT_EQ(report->queries[1].id, 0u);
-}
-
-TEST(BatchWindowTest, ZeroWindowMatchesTheLegacySchedule) {
-  SlicedExecutor exec;
-  exec.Set("x", 2, 3.0, 1.0, 8);
-  exec.Set("y", 3, 2.0, 0.5, 7);
-  sched::DriverOptions opts;
-  opts.num_queries = 50;
-  opts.arrival_rate_qps = 0.3;
-  sched::WorkloadDriver driver({"x", "y"}, opts);
-  auto stream = driver.Generate();
-  ASSERT_TRUE(stream.ok());
-  auto legacy = sched::Scheduler({.slots = 2,
-                                  .policy = sched::Policy::kFcfs,
-                                  .max_batch = 3},
-                                 &exec)
-                    .Run(*stream);
-  auto windowed = sched::Scheduler({.slots = 2,
-                                    .policy = sched::Policy::kFcfs,
-                                    .max_batch = 3,
-                                    .batch_window = dana::SimTime::Zero()},
-                                   &exec)
-                      .Run(*stream);
-  ASSERT_TRUE(legacy.ok() && windowed.ok());
-  ASSERT_EQ(legacy->queries.size(), windowed->queries.size());
-  for (size_t i = 0; i < legacy->queries.size(); ++i) {
-    EXPECT_EQ(legacy->queries[i].id, windowed->queries[i].id);
-    EXPECT_EQ(legacy->queries[i].completion.nanos(),
-              windowed->queries[i].completion.nanos());
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,10 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +23,7 @@
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
+#include "sliced_executor.h"
 #include "storage/buffer_pool.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -34,125 +31,11 @@
 namespace dana::sched {
 namespace {
 
-/// Deterministic synthetic epoch-sliced costs (the preempt_test shape):
-/// one epoch of `id` occupies shared_s + size * per_query_s seconds, over
-/// `epochs` epochs; run-to-completion dispatch goes through the same
-/// Begin() via the default Dispatch. Warmth is pinnable per (id, slot) so
-/// affinity placement and the cold-resume-loss tie-break have something to
-/// read in both modes.
-class PerfExecutor : public QueryExecutor {
- public:
-  void Set(const std::string& id, uint32_t epochs, double epoch_shared_s,
-           double epoch_per_query_s, double estimate_s,
-           double compile_s = 0.0) {
-    specs_[id] = {epochs, epoch_shared_s, epoch_per_query_s, compile_s};
-    estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  void SetWarm(const std::string& id, uint32_t slot, double fraction) {
-    warmth_[{id, slot}] = fraction;
-    modeled_.insert(id);
-  }
-
-  double WarmFraction(const std::string& id, uint32_t slot) override {
-    auto it = warmth_.find({id, slot});
-    return it == warmth_.end() ? 0.0 : it->second;
-  }
-
-  Result<std::unique_ptr<BatchExecution>> Begin(
-      const QueryBatch& batch) override {
-    auto it = specs_.find(batch.workload_id);
-    if (it == specs_.end()) return Status::NotFound(batch.workload_id);
-    return std::unique_ptr<BatchExecution>(new Execution(
-        batch, it->second, WarmFraction(batch.workload_id, batch.slot),
-        modeled_.count(batch.workload_id) > 0));
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    auto it = estimates_.find(id);
-    if (it == estimates_.end()) return Status::NotFound(id);
-    return it->second;
-  }
-
- private:
-  struct Spec {
-    uint32_t epochs;
-    double shared_s;
-    double per_query_s;
-    double compile_s;
-  };
-
-  class Execution : public BatchExecution {
-   public:
-    Execution(QueryBatch batch, Spec spec, double warm, bool modeled)
-        : BatchExecution(std::move(batch)),
-          spec_(spec),
-          warm_(warm),
-          modeled_(modeled) {}
-
-    uint32_t total_epochs() const override { return spec_.epochs; }
-    uint32_t epochs_run() const override { return done_; }
-    dana::SimTime compile_cost() const override {
-      return dana::SimTime::Seconds(spec_.compile_s);
-    }
-    double warm_fraction() const override { return warm_; }
-    bool residency_modeled() const override { return modeled_; }
-
-    dana::SimTime EpochCost() const {
-      return dana::SimTime::Seconds(
-          spec_.shared_s + spec_.per_query_s * batch_.size());
-    }
-
-    Result<SliceCost> NextSlice(uint32_t max_epochs) override {
-      const uint32_t remaining = spec_.epochs - done_;
-      if (remaining == 0) {
-        return Status::FailedPrecondition("already finished");
-      }
-      const uint32_t n =
-          max_epochs == 0 ? remaining : std::min(max_epochs, remaining);
-      SliceCost s;
-      s.epochs = n;
-      s.service = EpochCost() * static_cast<double>(n);
-      s.shared = dana::SimTime::Seconds(spec_.shared_s) *
-                 static_cast<double>(n);
-      s.per_query = dana::SimTime::Seconds(spec_.per_query_s) *
-                    static_cast<double>(n);
-      done_ += n;
-      s.finished = done_ == spec_.epochs;
-      return s;
-    }
-
-    Result<dana::SimTime> PeekService(uint32_t epochs) const override {
-      const uint32_t remaining = spec_.epochs - done_;
-      const uint32_t n =
-          epochs == 0 ? remaining : std::min(epochs, remaining);
-      return EpochCost() * static_cast<double>(n);
-    }
-
-    Status Checkpoint() override { return Status::OK(); }
-    Status Resume(uint32_t slot) override {
-      batch_.slot = slot;
-      return Status::OK();
-    }
-
-   private:
-    Spec spec_;
-    double warm_;
-    bool modeled_;
-    uint32_t done_ = 0;
-  };
-
-  std::map<std::string, Spec> specs_;
-  std::map<std::string, dana::SimTime> estimates_;
-  std::map<std::pair<std::string, uint32_t>, double> warmth_;
-  std::set<std::string> modeled_;
-};
-
 /// Catalog sorted by estimate (WorkloadDriver ranks by catalog index for
 /// popularity and interactive tagging): two short interactive-ish
 /// algorithms, two mid, two long trainings.
-PerfExecutor MakeExecutor() {
-  PerfExecutor e;
+SlicedExecutor MakeExecutor() {
+  SlicedExecutor e;
   e.Set("lookup", 1, 1.5, 0.5, 2.0, 0.2);
   e.Set("score", 2, 1.0, 0.5, 3.0, 0.2);
   e.Set("logit", 4, 1.5, 0.5, 7.0, 0.5);
@@ -190,7 +73,7 @@ struct RunOutcome {
 
 RunOutcome RunWith(SchedulerOptions opts, bool indexed,
                    const std::vector<QueryRequest>& stream) {
-  PerfExecutor exec = MakeExecutor();
+  SlicedExecutor exec = MakeExecutor();
   obs::MetricRegistry registry;
   opts.metrics = &registry;
   opts.indexed_queues = indexed;

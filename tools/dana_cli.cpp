@@ -75,7 +75,7 @@ void PrintHelp(std::FILE* out) {
       "        [--interactive R] [--quantum E] [--ctx-ms MS] [--window-ms MS]\n"
       "        [--pool-frames F] [--eviction clock|lru|promotional]\n"
       "        [--os-frames F] [--metrics-json FILE] [--trace-out FILE]\n"
-      "        [--metrics-table] [--runtime simulated|threaded]\n"
+      "        [--metrics-table]\n"
       "                            schedule a multi-query request stream\n"
       "                            onto N simulated accelerator slots;\n"
       "                            --batch K coalesces up to K same-algorithm\n"
@@ -121,9 +121,6 @@ void PrintHelp(std::FILE* out) {
       "                            writes a Chrome trace_event slot timeline\n"
       "                            (chrome://tracing / Perfetto),\n"
       "                            --metrics-table prints the snapshot.\n"
-      "                            --runtime threaded executes each slot on\n"
-      "                            a real worker thread (same schedule as\n"
-      "                            the simulated oracle, bit for bit)\n"
       "  help | --help | -h        this message\n",
       out);
 }
@@ -390,14 +387,6 @@ int CmdSched(int argc, char** argv) {
                          "--closed-loop\n");
     return 2;
   }
-  const std::string runtime_name = Flag(argc, argv, "--runtime", "simulated");
-  sched::RuntimeMode runtime_mode = sched::RuntimeMode::kSimulated;
-  if (runtime_name == "threaded") {
-    runtime_mode = sched::RuntimeMode::kThreaded;
-  } else if (runtime_name != "simulated") {
-    std::fprintf(stderr, "--runtime must be simulated or threaded\n");
-    return 2;
-  }
   // Shared physical residency pools: frames per slot pool; 0 falls back to
   // the legacy logical-ledger pricing (the PR 3 executor). Each slot's
   // pool eagerly allocates its frame table, so the ceiling must be a
@@ -607,8 +596,7 @@ int CmdSched(int argc, char** argv) {
          .context_switch_cost = dana::SimTime::Millis(ctx_ms),
          .batch_window = dana::SimTime::Millis(window_ms),
          .metrics = want_obs ? &registry : nullptr,
-         .tracer = trace_out != nullptr ? &tracer : nullptr,
-         .runtime_mode = runtime_mode},
+         .tracer = trace_out != nullptr ? &tracer : nullptr},
         &executor);
     auto report =
         closed_loop
