@@ -2,43 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "compiler/hw_generator.h"
-#include "hdfg/graph.h"
+#include "engine/evaluator.h"
 
 namespace dana::accel {
 
 Accelerator::Accelerator(const compiler::CompiledUdf& udf) : udf_(udf) {
   access_config_.num_page_buffers = udf.design.num_page_buffers;
-}
-
-Status Accelerator::DecodeTuple(const std::vector<uint8_t>& payload,
-                                engine::TupleData* out) const {
-  const compiler::ScalarProgram& prog = udf_.program;
-  const uint64_t want = 4 * prog.TupleElements();
-  if (payload.size() < want) {
-    return Status::Corruption("tuple payload of " +
-                              std::to_string(payload.size()) +
-                              " bytes, expected " + std::to_string(want));
-  }
-  size_t off = 0;
-  auto take = [&](const std::shared_ptr<const dsl::Var>& var,
-                  std::vector<float>* dst) {
-    const uint64_t n = hdfg::NumElements(var->dims);
-    dst->resize(n);
-    std::memcpy(dst->data(), payload.data() + off, n * 4);
-    off += n * 4;
-  };
-  out->inputs.resize(prog.input_vars.size());
-  out->outputs.resize(prog.output_vars.size());
-  for (size_t i = 0; i < prog.input_vars.size(); ++i) {
-    take(prog.input_vars[i], &out->inputs[i]);
-  }
-  for (size_t i = 0; i < prog.output_vars.size(); ++i) {
-    take(prog.output_vars[i], &out->outputs[i]);
-  }
-  return Status::OK();
 }
 
 Result<RunReport> Accelerator::Train(const storage::Table& table,
@@ -79,8 +50,12 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
   // segment finds it already on the fabric.
   if (done_before == 0) report.fpga_cycles += access.ConfigCycles();
 
-  std::vector<engine::TupleData> batch;
-  batch.reserve(batch_size);
+  // Each batch's Strider payloads, packed back to back in the engine's
+  // tuple layout (the first TupleBytes() of each payload).
+  const size_t tuple_bytes = evaluator.TupleBytes();
+  std::vector<uint8_t> batch;
+  batch.reserve(batch_size * tuple_bytes);
+  size_t batch_tuples = 0;
 
   for (uint32_t epoch = 0; epoch < segment_budget; ++epoch) {
     const dana::SimTime io_before = pool->stats().io_time;
@@ -90,11 +65,11 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
     uint64_t tuples_this_epoch = 0;
 
     auto flush_batch = [&]() -> Status {
-      if (batch.empty()) return Status::OK();
-      DANA_RETURN_NOT_OK(evaluator.EvalBatch(batch));
+      if (batch_tuples == 0) return Status::OK();
+      DANA_RETURN_NOT_OK(evaluator.EvalPackedBatch(batch, batch_tuples));
       // Timing: each thread runs ceil(batch/threads) rule instances
       // back-to-back, then the tree bus merges and the model updates.
-      const uint64_t rule_runs = (batch.size() + threads - 1) / threads;
+      const uint64_t rule_runs = (batch_tuples + threads - 1) / threads;
       engine_cycles +=
           batch_q *
           (rule_runs * std::max<uint64_t>(design.tuple_schedule.EffectiveMakespan(
@@ -107,6 +82,7 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
            design.batch_schedule.makespan);
       ++batches;
       batch.clear();
+      batch_tuples = 0;
       return Status::OK();
     };
 
@@ -117,12 +93,18 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
           access.WalkPage({frame, table.layout().page_size}));
       strider_cycles += extraction.strider_cycles;
       report.strider_instructions += extraction.tuples.size();
-      for (auto& payload : extraction.tuples) {
-        engine::TupleData tuple;
-        DANA_RETURN_NOT_OK(DecodeTuple(payload, &tuple));
-        batch.push_back(std::move(tuple));
+      for (const std::vector<uint8_t>& payload : extraction.tuples) {
+        if (payload.size() < tuple_bytes) {
+          return Status::Corruption("tuple payload of " +
+                                    std::to_string(payload.size()) +
+                                    " bytes, expected " +
+                                    std::to_string(tuple_bytes));
+        }
+        batch.insert(batch.end(), payload.begin(),
+                     payload.begin() + tuple_bytes);
+        ++batch_tuples;
         ++tuples_this_epoch;
-        if (batch.size() >= batch_size) {
+        if (batch_tuples >= batch_size) {
           DANA_RETURN_NOT_OK(flush_batch());
         }
       }

@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "compiler/compiler.h"
-#include "engine/evaluator.h"
 #include "storage/buffer_pool.h"
 #include "storage/table.h"
 
@@ -123,10 +122,6 @@ class Accelerator {
   const compiler::CompiledUdf& udf() const { return udf_; }
 
  private:
-  /// Splits a payload into per-variable fp32 element vectors.
-  dana::Status DecodeTuple(const std::vector<uint8_t>& payload,
-                           engine::TupleData* out) const;
-
   const compiler::CompiledUdf& udf_;
   AccessEngineConfig access_config_;
 };

@@ -1,5 +1,6 @@
 #include "compiler/scalar_program.h"
 
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -81,6 +82,126 @@ std::string ScalarProgram::ToString() const {
   return os.str();
 }
 
+Status ValidateProgram(const ScalarProgram& prog) {
+  std::vector<uint64_t> model_n, input_n, output_n;
+  uint64_t var_elements = 0;
+  for (auto [vars, n] : {std::pair{&prog.model_vars, &model_n},
+                         std::pair{&prog.input_vars, &input_n},
+                         std::pair{&prog.output_vars, &output_n}}) {
+    for (const auto& var : *vars) {
+      n->push_back(hdfg::NumElements(var->dims));
+      var_elements += n->back();
+    }
+  }
+
+  auto in_range = [&](const ValueRef& ref) {
+    auto in_var = [&ref](const std::vector<uint64_t>& n) {
+      return ref.var_id < n.size() && ref.index < n[ref.var_id];
+    };
+    using K = ValueRef::Kind;
+    switch (ref.kind) {
+      case K::kNone:
+      case K::kConst:
+        return true;
+      case K::kSub:
+        switch (ref.region) {
+          case ValueRegion::kTuple:
+            return ref.index < prog.tuple_ops.size();
+          case ValueRegion::kBatch:
+            return ref.index < prog.batch_ops.size();
+          case ValueRegion::kEpoch:
+            return ref.index < prog.epoch_ops.size();
+        }
+        return false;
+      case K::kModel:
+        return in_var(model_n);
+      case K::kInput:
+        return in_var(input_n);
+      case K::kOutput:
+        return in_var(output_n);
+      case K::kMeta:
+        return ref.var_id < prog.meta_vars.size();
+      case K::kMergeOut:
+        return ref.index < prog.merge_slots.size();
+    }
+    return false;
+  };
+  auto known = [](engine::AluOp op) {
+    return static_cast<uint8_t>(op) <=
+           static_cast<uint8_t>(engine::AluOp::kMov);
+  };
+  auto bad = [](const std::string& where, const ValueRef& ref) {
+    return Status::InvalidArgument(where + " operand " + ref.ToString() +
+                                   " is out of range");
+  };
+  auto check_ops = [&](const std::vector<ScalarOp>& ops,
+                       ValueRegion region) {
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const ScalarOp& op = ops[i];
+      if (known(op.op) && in_range(op.a) && in_range(op.b)) continue;
+      const std::string where =
+          ValueRef::Sub(region, static_cast<uint32_t>(i)).ToString();
+      if (!known(op.op)) {
+        return Status::InvalidArgument("unknown ALU op in " + where);
+      }
+      return bad(where, in_range(op.a) ? op.b : op.a);
+    }
+    return Status::OK();
+  };
+
+  DANA_RETURN_NOT_OK(check_ops(prog.tuple_ops, ValueRegion::kTuple));
+  DANA_RETURN_NOT_OK(check_ops(prog.batch_ops, ValueRegion::kBatch));
+  DANA_RETURN_NOT_OK(check_ops(prog.epoch_ops, ValueRegion::kEpoch));
+  for (size_t m = 0; m < prog.merge_slots.size(); ++m) {
+    const MergeSlot& slot = prog.merge_slots[m];
+    if (known(slot.combine) && in_range(slot.src)) continue;
+    const std::string where = "merge[" + std::to_string(m) + "]";
+    if (!known(slot.combine)) {
+      return Status::InvalidArgument("unknown ALU op in " + where);
+    }
+    return bad(where, slot.src);
+  }
+  for (const ModelWrite& write : prog.model_writes) {
+    if (write.model_var >= model_n.size()) {
+      return Status::InvalidArgument("model write targets missing model" +
+                                     std::to_string(write.model_var));
+    }
+    if (write.elems.size() != model_n[write.model_var]) {
+      return Status::InvalidArgument(
+          "model write of " + std::to_string(write.elems.size()) +
+          " elements to model" + std::to_string(write.model_var) + " of " +
+          std::to_string(model_n[write.model_var]));
+    }
+    for (const ValueRef& elem : write.elems) {
+      if (!in_range(elem)) {
+        return bad("write model" + std::to_string(write.model_var), elem);
+      }
+    }
+  }
+  if (prog.has_convergence && !in_range(prog.convergence)) {
+    return bad("convergence", prog.convergence);
+  }
+  // The register file holds every variable element, op slot, merge output
+  // and meta value, the zero register, and at most one register per
+  // constant operand.
+  uint64_t write_elements = 0;
+  for (const ModelWrite& write : prog.model_writes) {
+    write_elements += write.elems.size();
+  }
+  const uint64_t ops = prog.tuple_ops.size() + prog.batch_ops.size() +
+                       prog.epoch_ops.size();
+  const uint64_t registers = var_elements + ops + prog.merge_slots.size() +
+                             prog.meta_vars.size() + 1 +
+                             (2 * ops + prog.merge_slots.size() +
+                              write_elements + 1);
+  if (registers > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "program needs up to " + std::to_string(registers) +
+        " engine registers, more than 32-bit offsets address");
+  }
+  return Status::OK();
+}
+
 Result<engine::AluOp> ToAluOp(dsl::OpKind op) {
   using dsl::OpKind;
   switch (op) {
@@ -143,6 +264,10 @@ class Lowerer {
     if (g_.convergence_root != hdfg::kInvalidNode) {
       prog_.has_convergence = true;
       prog_.convergence = elems_[g_.convergence_root][0];
+    }
+    if (Status st = ValidateProgram(prog_); !st.ok()) {
+      return Status::Internal("lowering produced an invalid program: " +
+                              st.message());
     }
     return std::move(prog_);
   }

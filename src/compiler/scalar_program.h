@@ -110,6 +110,16 @@ struct ScalarProgram {
 /// Maps a DSL op to the engine ALU op; InvalidArgument for structural ops.
 dana::Result<engine::AluOp> ToAluOp(dsl::OpKind op);
 
+/// Checks that every op and merge combine is a known ALU op and that every
+/// operand of `prog` addresses an existing value: sub-op indices within
+/// their region's op list, element indices within their variable, meta
+/// vars and merge outputs within their tables. Also checks that every
+/// ModelWrite targets an existing model variable with exactly that
+/// variable's element count, and that the engine's register file fits
+/// 32-bit offsets. The engine evaluator indexes its register file with
+/// these operands unchecked. InvalidArgument names the first violation.
+dana::Status ValidateProgram(const ScalarProgram& prog);
+
 /// Flattens an hDFG into a ScalarProgram (the backend's first step, §6.2).
 dana::Result<ScalarProgram> LowerGraph(const hdfg::Graph& graph);
 

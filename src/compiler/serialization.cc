@@ -335,6 +335,9 @@ Result<CompiledUdf> DeserializeUdf(const std::string& blob) {
   p.has_convergence = has_conv != 0;
   DANA_ASSIGN_OR_RETURN(p.merge_coef, r.U32());
   DANA_ASSIGN_OR_RETURN(p.max_epochs, r.U32());
+  if (Status st = ValidateProgram(p); !st.ok()) {
+    return Status::Corruption("invalid scalar program: " + st.message());
+  }
 
   DesignPoint& d = udf.design;
   DANA_ASSIGN_OR_RETURN(d.num_threads, r.U32());

@@ -177,6 +177,46 @@ TEST(EvaluatorTest, RejectsMismatchedTuple) {
   TupleData t;  // no inputs
   EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
   EXPECT_TRUE(ev.EvalBatch({}).IsInvalidArgument());
+
+  // Right variable counts, wrong element counts: each would read or
+  // write past the variable.
+  t.inputs = {{1, 2, 3}};  // in has 4 elements
+  t.outputs = {{1}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  t.inputs = {{1, 2, 3, 4, 5}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  t.inputs = {{1, 2, 3, 4}};
+  t.outputs = {{}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  // A bad tuple anywhere in the batch rejects the whole batch untouched.
+  TupleData good;
+  good.inputs = {{1, 1, 1, 1}};
+  good.outputs = {{1}};
+  const std::vector<TupleData> mixed = {good, t};
+  EXPECT_TRUE(ev.EvalBatch(mixed).IsInvalidArgument());
+  EXPECT_EQ(ev.ops_executed(), 0u);
+  EXPECT_TRUE(ev.EvalBatch({&good, 1}).ok());
+
+  // The packed feed checks its byte count the same way.
+  const std::vector<uint8_t> packed(ev.TupleBytes() * 2 - 1);
+  EXPECT_EQ(ev.TupleBytes(), 4 * prog.TupleElements());
+  EXPECT_TRUE(ev.EvalPackedBatch(packed, 2).IsInvalidArgument());
+  EXPECT_TRUE(ev.EvalPackedBatch({}, 0).IsInvalidArgument());
+}
+
+TEST(EvaluatorTest, InvalidProgramFailsEveryCall) {
+  auto prog = Lower(ml::AlgoKind::kLinearRegression,
+                    Params(4, 1, ml::AlgoKind::kLinearRegression));
+  prog.tuple_ops[0].a.index = 99;  // element 99 of a 4-element variable
+  ASSERT_TRUE(compiler::ValidateProgram(prog).IsInvalidArgument());
+  ScalarEvaluator ev(prog);
+  TupleData t;
+  t.inputs = {{1, 1, 1, 1}};
+  t.outputs = {{1}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  EXPECT_TRUE(ev.SetModel(0, std::vector<float>(4)).IsInvalidArgument());
+  EXPECT_TRUE(ev.EvalConvergence().status().IsInvalidArgument());
+  EXPECT_TRUE(ev.Model(0).empty());
 }
 
 TEST(EvaluatorTest, CountsExecutedOps) {
@@ -344,6 +384,21 @@ TEST(AcceleratorTest, ConvergenceStopsEarly) {
   auto report = std::move(acc.Train(*table, &pool, {})).ValueOrDie();
   EXPECT_TRUE(report.converged);
   EXPECT_LT(report.epochs_run, 50u);
+}
+
+TEST(AcceleratorTest, ShortTuplePayloadIsCorruption) {
+  // A UDF compiled for 16 features reading a table of 8-feature rows: the
+  // Striders emit payloads shorter than the engine's tuple.
+  auto f = AccelFixture::Make(ml::AlgoKind::kLinearRegression, 16, 4, 64);
+  ml::DatasetSpec spec;
+  spec.dims = 8;
+  spec.tuples = 64;
+  auto narrow = std::move(ml::BuildTable("n", ml::GenerateDataset(spec),
+                                         storage::PageLayout{}))
+                    .ValueOrDie();
+  accel::Accelerator acc(f.udf);
+  auto report = acc.Train(*narrow, f.pool.get(), {});
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
 }
 
 TEST(AcceleratorTest, InitialModelRespected) {

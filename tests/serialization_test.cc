@@ -113,6 +113,36 @@ TEST(SerializationTest, RejectsWrongVersion) {
   EXPECT_TRUE(DeserializeUdf(blob).status().IsInvalidArgument());
 }
 
+TEST(SerializationTest, RejectsOutOfRangeOperand) {
+  Built b = Build(ml::AlgoKind::kLinearRegression, 4);
+  ASSERT_TRUE(ValidateProgram(b.udf.program).ok());
+
+  // One operand pushed past its variable: every field the blob carries is
+  // well-formed, only the index is wrong.
+  CompiledUdf bad = b.udf;
+  ValueRef* input = nullptr;
+  for (ScalarOp& op : bad.program.tuple_ops) {
+    for (ValueRef* ref : {&op.a, &op.b}) {
+      if (ref->kind == ValueRef::Kind::kInput) input = ref;
+    }
+  }
+  ASSERT_NE(input, nullptr);
+  input->index = 4;
+  EXPECT_TRUE(DeserializeUdf(SerializeUdf(bad)).status().IsCorruption());
+
+  // A model write with the wrong element count would resize the model.
+  bad = b.udf;
+  bad.program.model_writes[0].elems.pop_back();
+  EXPECT_TRUE(DeserializeUdf(SerializeUdf(bad)).status().IsCorruption());
+
+  // A sub-op reference past its region's op list.
+  bad = b.udf;
+  bad.program.model_writes[0].elems[0] = ValueRef::Sub(
+      ValueRegion::kBatch,
+      static_cast<uint32_t>(bad.program.batch_ops.size()));
+  EXPECT_TRUE(DeserializeUdf(SerializeUdf(bad)).status().IsCorruption());
+}
+
 TEST(SerializationTest, RejectsTruncation) {
   Built b = Build(ml::AlgoKind::kLinearRegression, 4);
   const std::string blob = SerializeUdf(b.udf);
