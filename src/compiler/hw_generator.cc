@@ -8,6 +8,13 @@
 
 namespace dana::compiler {
 
+namespace {
+Status NoDesignFits() {
+  return Status::ResourceExhausted(
+      "no design point fits the FPGA (model too large for BRAM?)");
+}
+}  // namespace
+
 std::string DesignPoint::ToString() const {
   std::ostringstream os;
   os << "threads=" << num_threads << " acs/thread=" << acs_per_thread
@@ -113,6 +120,13 @@ Result<DesignPoint> HardwareGenerator::Generate(
            prog.tuple_ops.size() + prog.batch_ops.size());
 
   // --- Design space exploration over thread counts ------------------------
+  // A model whose smallest design already overflows BRAM has no candidate:
+  // fail before paying for any schedule.
+  const uint32_t first_threads =
+      options_.force_threads ? options_.force_threads : 1;
+  if (per_thread_data_bytes * first_threads > fpga_.bram_bytes) {
+    return NoDesignFits();
+  }
   const uint32_t max_threads =
       options_.force_threads
           ? options_.force_threads
@@ -128,8 +142,7 @@ Result<DesignPoint> HardwareGenerator::Generate(
                         batch_scheduler.Run(prog.epoch_ops));
 
   std::vector<DesignPoint> candidates;
-  for (uint32_t t = options_.force_threads ? options_.force_threads : 1;
-       t <= max_threads; t *= 2) {
+  for (uint32_t t = first_threads; t <= max_threads; t *= 2) {
     DesignPoint d;
     d.num_threads = t;
     d.acs_per_thread = std::max<uint32_t>(1, total_acs / t);
@@ -142,6 +155,9 @@ Result<DesignPoint> HardwareGenerator::Generate(
     if (d.total_aus > aus) break;  // fabric exhausted
     d.dsps_used = d.total_aus * fpga_.dsps_per_au;
     d.luts_used = d.total_aus * luts_per_au;
+    // BRAM: per-thread data, then page buffers with the remainder.
+    const uint64_t compute_bram = per_thread_data_bytes * t;
+    if (compute_bram > fpga_.bram_bytes) break;  // model does not fit
 
     Scheduler tuple_scheduler(SchedulerConfig{
         .num_acs = d.acs_per_thread, .selective_simd = !options_.mimd_only});
@@ -150,9 +166,6 @@ Result<DesignPoint> HardwareGenerator::Generate(
     d.batch_schedule = batch_schedule;
     d.epoch_schedule = epoch_schedule;
 
-    // BRAM: per-thread data, then page buffers with the remainder.
-    const uint64_t compute_bram = per_thread_data_bytes * t;
-    if (compute_bram > fpga_.bram_bytes) break;  // model does not fit
     const uint64_t pb_bram = std::min<uint64_t>(
         fpga_.bram_bytes - compute_bram,
         static_cast<uint64_t>(fpga_.bram_bytes *
@@ -167,10 +180,7 @@ Result<DesignPoint> HardwareGenerator::Generate(
     candidates.push_back(std::move(d));
     if (options_.force_threads) break;
   }
-  if (candidates.empty()) {
-    return Status::ResourceExhausted(
-        "no design point fits the FPGA (model too large for BRAM?)");
-  }
+  if (candidates.empty()) return NoDesignFits();
 
   // Smallest design within 5% of the best estimate (§6.1).
   uint64_t best = UINT64_MAX;

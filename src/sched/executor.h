@@ -18,7 +18,6 @@
 #include "runtime/systems.h"
 #include "sched/compile_cache.h"
 #include "storage/buffer_pool.h"
-#include "storage/residency.h"
 
 namespace dana::ml {
 struct Workload;
@@ -126,7 +125,7 @@ class BatchExecution {
 
   /// Advances up to `max_epochs` further epochs (0 = all remaining) and
   /// returns this slice's cost. Residency-modeling executors sweep their
-  /// pool and ledger once per epoch run, capped at two passes per slice
+  /// slot's pool once per epoch run, capped at two passes per slice
   /// (cache state is near-stationary after the second pass).
   virtual dana::Result<SliceCost> NextSlice(uint32_t max_epochs) = 0;
 
@@ -247,25 +246,23 @@ class QueryExecutor {
 /// execution sweeps the slot's shared pool (ScanTable), so the pool's
 /// resident_frames()/last_table()/eviction order are the ground truth:
 /// DAnA's Striders read RDBMS pages straight out of the buffer pool, so
-/// placement cost comes from measured occupancy, not a model of it. The
-/// logical storage::CacheResidencyModel ledger is still maintained in
-/// parallel as a cross-checked *predictor* (PredictedWarmFraction); where
-/// clock-sweep eviction order makes the two disagree, the physical answer
-/// is charged. `Options::physical_pools = false` restores the PR 3/PR 4
-/// ledger-priced executor bit for bit. A preempted run's table stays
-/// resident until an intervening sweep evicts it — resuming on the same
-/// slot is warm, resuming elsewhere is cold — and WarmFraction() exposes
-/// the pool so affinity dispatch can route resumed work back to its warm
-/// slot.
+/// placement cost comes from measured occupancy, not a model of it: the
+/// slot pools are the only residency state there is, and the eviction
+/// order they actually run (clock hand, LRU, promotional) decides which
+/// co-located table pays. A preempted run's table stays resident until an
+/// intervening sweep evicts it — resuming on the same slot is warm,
+/// resuming elsewhere is cold — and WarmFraction() exposes the pool so
+/// affinity dispatch can route resumed work back to its warm slot.
 ///
 /// Concurrency: the scheduler drives the executor from one thread, but
 /// the cross-slot state stays thread-safe for callers that share one
 /// executor across threads. It is partitioned into fill-once caches (the
 /// compile cache and the measured endpoint profiles — concurrent cold
-/// requests share one fill) and a state mutex (workload instances,
-/// registry memo, the logical residency ledger). Per-slot pool state is
-/// intentionally unguarded: such callers must give each thread its own
-/// slots and PrepareSlots() first so the pool group never grows mid-run.
+/// requests share one fill) and a state mutex (workload instances and the
+/// registry memo). Per-slot pool state is intentionally unguarded: such
+/// callers must give each thread its own slots and PrepareSlots() first
+/// so the pool group never grows mid-run. A slice (NextSlice) touches
+/// only its slot's pool and takes no executor lock.
 class DanaQueryExecutor : public QueryExecutor {
  public:
   struct Options {
@@ -275,17 +272,12 @@ class DanaQueryExecutor : public QueryExecutor {
     /// milliseconds" — large enough that cache hits visibly matter, small
     /// against multi-second training runs.
     dana::SimTime compile_latency = dana::SimTime::Millis(400);
-    /// false reproduces the PR 2 executor bit-for-bit: every run is
-    /// silently re-prepared to `cache` and placement is costless. true
-    /// (the default) charges each slot its tracked residency instead.
+    /// false is the fixed-cache regime: every run is silently re-prepared
+    /// to `cache` and placement is costless. true (the default) charges
+    /// each slot the residency measured from its shared physical
+    /// BufferPool — per-table resident frames over the table's normalized
+    /// footprint.
     bool model_residency = true;
-    /// Residency ground truth (only meaningful with `model_residency`).
-    /// true (the default): each slot owns one shared physical BufferPool;
-    /// warm fractions are measured per-table frame counts. false: the
-    /// legacy mode — warm fractions come from the logical
-    /// CacheResidencyModel ledger, reproducing the PR 3/PR 4 executor
-    /// bit for bit.
-    bool physical_pools = true;
     /// Frames in each slot's shared residency pool. Scale-normalized
     /// units: a workload's sweep touches PoolSizeRatio() * pool_frames
     /// logical pages, so this is pure resolution — warm fractions quantize
@@ -357,38 +349,17 @@ class DanaQueryExecutor : public QueryExecutor {
   void PrepareSlots(uint32_t slots) override { slot_pools_.Resize(slots); }
 
   const CompileCache& compile_cache() const { return compile_cache_; }
-  /// The logical ledger — with physical pools on this is the cross-checked
-  /// *predictor*, not what dispatches are charged (see
-  /// PredictedWarmFraction); with them off it is the pricing source.
-  const storage::CacheResidencyModel& residency() const { return residency_; }
-  /// What the logical ledger predicts `workload_id`'s residency on `slot`
-  /// to be. With physical pools on, WarmFraction() (the charged value) can
-  /// disagree — proportional decay vs the clock sweep's hand-order
-  /// evictions — and the divergence suite pins that the physical answer
-  /// wins.
-  double PredictedWarmFraction(const std::string& workload_id, uint32_t slot)
-      const {
-    dana::MutexLock lock(state_mu_);
-    return residency_.ResidentFraction(slot, workload_id);
-  }
-  /// Slot `slot`'s shared physical residency pool (created on demand).
-  /// Ground truth for placement when `Options::physical_pools` is on:
-  /// per-table resident frames, last_table(), and eviction order are
-  /// readable directly.
+  /// Slot `slot`'s shared physical residency pool (created on demand) —
+  /// what placement is priced from: per-table resident frames,
+  /// last_table(), and eviction order are readable directly.
   storage::BufferPool* slot_pool(uint32_t slot) {
     return slot_pools_.pool(slot);
   }
-  /// Forgets all slot residency (fresh cold slots) — both the physical
-  /// pools and the logical ledger — while keeping measured service
-  /// endpoints and compiled designs. Sweeps call this between
-  /// configurations so every run starts from the same cold machine.
-  void ResetResidency() {
-    {
-      dana::MutexLock lock(state_mu_);
-      residency_.Reset();
-    }
-    slot_pools_.ClearAll();
-  }
+  /// Forgets all slot residency (clears every slot pool) while keeping
+  /// measured service endpoints and compiled designs. Sweeps call this
+  /// between configurations so every run starts from the same cold
+  /// machine.
+  void ResetResidency() { slot_pools_.ClearAll(); }
   /// Snapshots the executor's caches into `metrics` as gauges: the compile
   /// cache under `compile_cache.` and the per-slot shared pools under
   /// `pool.` (rollup + per-slot breakdown). Call after a run — gauges are
@@ -424,14 +395,11 @@ class DanaQueryExecutor : public QueryExecutor {
   /// 0 without a configured OS tier.
   double PhysicalOsWarmFraction(const std::string& id, uint32_t slot,
                                 double pool_warm);
-  /// OS-tier capacity over pool capacity — the `os_ratio` the ledger
-  /// predictor is taught (0 = no tier).
-  double OsLedgerRatio() const {
-    return options_.os_frames == 0
-               ? 0.0
-               : static_cast<double>(options_.os_frames) /
-                     static_cast<double>(options_.pool_frames);
-  }
+  /// PhysicalOsWarmFraction for a caller that already holds the slot's
+  /// pool and the table's normalized page count — no instance lookup, so
+  /// no lock.
+  double OsTierShare(const storage::BufferPool& pool, const std::string& id,
+                     uint64_t pages, double pool_warm) const;
   /// Measured (or memoized) epoch profile at a cache endpoint.
   dana::Result<const EpochProfile*> MeasureEndpoint(const QueryBatch& batch,
                                                     runtime::CacheState cache);
@@ -449,11 +417,6 @@ class DanaQueryExecutor : public QueryExecutor {
   runtime::CpuCostModel cost_model_;
   runtime::DanaSystem system_;
   CompileCache compile_cache_;
-  /// Logical per-slot ledger: the predictor the physical pools are
-  /// cross-checked against (and the pricing source in legacy mode).
-  /// The unlocked residency() accessor only binds a reference for post-run
-  /// single-threaded readers; every dereference happens under state_mu_.
-  storage::CacheResidencyModel residency_ GUARDED_BY(state_mu_);
   /// One shared physical pool per slot, sized in `Options::pool_frames`
   /// scale-normalized frames: every workload's sweep passes through its
   /// slot's pool, so cross-table eviction is measured, not modeled.
@@ -473,9 +436,8 @@ class DanaQueryExecutor : public QueryExecutor {
   /// into the static registry, valid for the process lifetime.
   std::unordered_map<std::string, const ml::Workload*> workload_cache_
       GUARDED_BY(state_mu_);
-  /// Guards the executor's cross-slot mutable state: instances_,
-  /// workload_cache_, and the logical residency_ ledger. Per-slot pool
-  /// state needs no lock — slot i's pool is touched only by the thread
+  /// Guards the executor's cross-slot mutable state: instances_ and
+  /// workload_cache_. Per-slot pool state needs no lock — slot i's pool is touched only by the thread
   /// that owns slot i (BufferPoolGroup's contract).
   mutable dana::Mutex state_mu_;
   /// Serializes actual simulator measurement runs (MeasureEndpoint fills):

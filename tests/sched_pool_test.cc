@@ -1,26 +1,23 @@
 // Physical shared-pool residency suite (ctest label: sched_pool).
 //
-// PR 3 priced placement from a logical per-slot ledger
-// (storage::CacheResidencyModel) because per-workload tables are generated
-// at different scales and could not share one physical pool. The executor
-// now owns one scale-normalized shared storage::BufferPool per slot — each
+// Per-workload tables are generated at different scales, so the executor
+// owns one scale-normalized shared storage::BufferPool per slot — each
 // workload's sweep covers WorkloadInstance::NormalizedPages logical pages,
 // so tables meet in consistent paper-scale units — and the pool's
-// per-table frame accounting is the ground truth dispatches are charged
-// from. This suite pins:
+// per-table frame accounting is the only residency state dispatches are
+// charged from. This suite pins:
 //  - the normalization (paper-ratio-preserving, scale-free);
-//  - agreement between pool and ledger on undisturbed sequences (the
-//    ledger stays on as a cross-checked predictor);
-//  - the divergence: clock-sweep eviction takes frames in hand order, the
-//    ledger decays co-located tables proportionally — where they disagree
-//    the executor charges the physical answer;
-//  - the legacy flag (physical_pools = false) reproducing ledger pricing;
+//  - co-location: clock-sweep eviction takes frames in hand order, so the
+//    first-installed table loses the most, and the executor charges
+//    exactly what the pool holds;
+//  - the per-table partition of every pool across random sequences;
+//  - multi-epoch slices sweeping min(epochs, 2) times;
 //  - bit-for-bit determinism across repeat runs (CI runs this label twice
 //    and diffs the logs).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,7 +27,6 @@
 #include "runtime/systems.h"
 #include "sched/executor.h"
 #include "storage/buffer_pool.h"
-#include "storage/residency.h"
 
 namespace dana::sched {
 namespace {
@@ -46,7 +42,7 @@ double PaperRatio(const std::string& id) {
 }
 
 TEST(NormalizedPagesTest, PreservesPaperRatiosScaleFree) {
-  // The divergence fixtures below rely on these workloads partially
+  // The co-location fixtures below rely on these workloads partially
   // filling a shared pool; pin the regime (not exact values, which track
   // the generators).
   const double lrmf_small = PaperRatio("sn_lrmf");
@@ -105,90 +101,72 @@ TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
   EXPECT_LT(warm->service.nanos(), cold->service.nanos());
   // Other slots' pools are independent — still cold.
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 1), 0.0);
-  // ResetResidency clears the physical pools along with the ledger.
+  // ResetResidency clears the physical pools.
   executor.ResetResidency();
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 0.0);
   EXPECT_EQ(executor.slot_pool(0)->resident_frames(), 0u);
 }
 
-TEST(PhysicalPoolTest, LedgerPredictorAgreesOnUndisturbedSequences) {
-  // With one table sweeping a slot, clock eviction and proportional decay
-  // describe the same physics: the pool and the ledger must agree (up to
-  // the pool's 1-frame quantization) — the predictor is trustworthy until
-  // co-located tables diverge it.
-  DanaQueryExecutor executor;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("se_lrmf", 0, 0)).ok());
-    EXPECT_NEAR(executor.WarmFraction("se_lrmf", 0),
-                executor.PredictedWarmFraction("se_lrmf", 0), 1e-3);
-  }
-}
+/// The three tables the co-location fixtures run on one slot, in dispatch
+/// order: small (sn_lrmf) then mid (sn_linear) fill the pool partially;
+/// big (se_lrmf)'s sweep needs more than the free space, and the clock
+/// hand takes the *small* table's frames first.
+const char* const kCoLocated[] = {"sn_lrmf", "sn_linear", "se_lrmf"};
 
-/// Drives the three-table divergence on one slot and returns the executor:
-/// small (sn_lrmf) then mid (sn_linear) fill the pool partially; big
-/// (se_lrmf)'s sweep needs more than the free space, and the clock hand
-/// takes the *small* table's frames first while the ledger spreads the
-/// loss proportionally over both.
-void DriveDivergence(DanaQueryExecutor& executor) {
-  for (const char* id : {"sn_lrmf", "sn_linear", "se_lrmf"}) {
+void DriveCoLocation(DanaQueryExecutor& executor) {
+  for (const char* id : kCoLocated) {
     auto cost = executor.Dispatch(QueryBatch::Single(id, 0, 0));
     ASSERT_TRUE(cost.ok()) << id;
   }
 }
 
-TEST(DivergenceTest, ExecutorChargesThePoolWhereTheLedgerIsWrong) {
+TEST(CoLocationTest, ChargesFollowClockHandEvictionOrder) {
   DanaQueryExecutor executor;
-  DriveDivergence(executor);
+  DriveCoLocation(executor);
 
-  // The ledger decayed sn_lrmf and sn_linear by the same factor; the clock
-  // hand evicted sn_lrmf's frames first. Both cannot be right.
+  // Hand order: the first-installed table lost strictly more.
   const double pool_small = executor.WarmFraction("sn_lrmf", 0);
   const double pool_mid = executor.WarmFraction("sn_linear", 0);
-  const double ledger_small = executor.PredictedWarmFraction("sn_lrmf", 0);
-  const double ledger_mid = executor.PredictedWarmFraction("sn_linear", 0);
-  // Proportional decay: equal survival factors.
-  EXPECT_NEAR(ledger_small, ledger_mid, 1e-9);
-  EXPECT_GT(ledger_small, 0.0);
-  // Hand order: the first-installed table lost strictly more.
+  EXPECT_GT(pool_mid, 0.0);
   EXPECT_LT(pool_small, pool_mid);
-  EXPECT_GT(std::abs(pool_small - ledger_small), 0.05);
-  EXPECT_GT(std::abs(pool_mid - ledger_mid), 0.05);
 
-  // The executor charges the physical answer, not the prediction: the next
-  // dispatch's warm_fraction is the pool's, and its service interpolates
-  // from that fraction (colder than the ledger claims for sn_lrmf).
+  // The slot pool is exactly a bare pool of the same geometry swept in the
+  // same order, min(epochs, 2) passes per run: no state besides the pool
+  // enters the charge.
+  storage::BufferPool replay =
+      storage::BufferPool::SizedInFrames(4096, 32 * 1024, storage::DiskModel{});
+  for (const char* id : kCoLocated) {
+    const ml::Workload* w = ml::FindWorkload(id);
+    ASSERT_NE(w, nullptr) << id;
+    auto instance = runtime::WorkloadInstance::Create(*w);
+    ASSERT_TRUE(instance.ok()) << id;
+    const uint64_t pages = (*instance)->NormalizedPages(4096);
+    for (uint32_t pass = 0; pass < std::min<uint32_t>(w->params.epochs, 2);
+         ++pass) {
+      replay.ScanTable(id, pages);
+    }
+  }
+  const storage::BufferPool* pool = executor.slot_pool(0);
+  EXPECT_EQ(pool->version(), replay.version());
+  for (const char* id : kCoLocated) {
+    EXPECT_EQ(pool->resident_frames(id), replay.resident_frames(id)) << id;
+  }
+
+  // The executor charges what the pool holds: the next dispatch's
+  // warm_fraction is the pool's measured share.
   auto exec = executor.Begin(QueryBatch::Single("sn_linear", 1, 0));
   ASSERT_TRUE(exec.ok());
   EXPECT_DOUBLE_EQ((*exec)->warm_fraction(), pool_mid);
-  EXPECT_NE((*exec)->warm_fraction(), ledger_mid);
 }
 
-TEST(DivergenceTest, LegacyFlagReproducesLedgerPricing) {
-  // physical_pools = false is the PR 3/PR 4 executor: charges come from
-  // the ledger, so the same sequence prices the divergent step differently.
-  DanaQueryExecutor::Options legacy;
-  legacy.physical_pools = false;
-  DanaQueryExecutor ledger_priced(legacy);
-  DriveDivergence(ledger_priced);
-  EXPECT_DOUBLE_EQ(ledger_priced.WarmFraction("sn_lrmf", 0),
-                   ledger_priced.PredictedWarmFraction("sn_lrmf", 0));
-  EXPECT_DOUBLE_EQ(ledger_priced.WarmFraction("sn_linear", 0),
-                   ledger_priced.PredictedWarmFraction("sn_linear", 0));
-
-  DanaQueryExecutor physical;
-  DriveDivergence(physical);
-  EXPECT_NE(physical.WarmFraction("sn_lrmf", 0),
-            ledger_priced.WarmFraction("sn_lrmf", 0));
-}
-
-TEST(DivergenceTest, RepeatRunsAreBitForBit) {
+TEST(CoLocationTest, RepeatRunsAreBitForBit) {
   // The property CI double-checks by diffing two -L sched_pool logs: the
   // physical pools must not introduce any run-to-run nondeterminism.
   auto run = [] {
     DanaQueryExecutor executor;
-    DriveDivergence(executor);
+    DriveCoLocation(executor);
     std::vector<double> out;
-    for (const char* id : {"sn_lrmf", "sn_linear", "se_lrmf"}) {
+    for (const char* id : kCoLocated) {
       out.push_back(executor.WarmFraction(id, 0));
       auto cost = executor.Dispatch(QueryBatch::Single(id, 1, 0));
       EXPECT_TRUE(cost.ok());
@@ -202,10 +180,9 @@ TEST(DivergenceTest, RepeatRunsAreBitForBit) {
 
 /// Property: over any random dispatch sequence, (1) every charged
 /// warm_fraction equals the slot pool's resident share at dispatch time,
-/// (2) per-table frames partition each pool, and (3) the ledger predictor
-/// stays a valid fraction — it may disagree with the pool (that is the
-/// point) but never leaves [0, 1].
-TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
+/// and (2) per-table frames partition each pool, which they never
+/// overflow.
+TEST(CoLocationTest, PropertyChargesAlwaysMatchPoolState) {
   const std::vector<std::string> ids = {"sn_lrmf", "sn_linear", "se_lrmf"};
   DanaQueryExecutor executor;
   dana::Rng seq(0x9001);
@@ -223,11 +200,6 @@ TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
       for (const std::string& t : ids) per_table += pool->resident_frames(t);
       EXPECT_EQ(per_table, pool->resident_frames());
       EXPECT_LE(pool->resident_frames(), pool->num_frames());
-      for (const std::string& t : ids) {
-        const double predicted = executor.PredictedWarmFraction(t, s);
-        EXPECT_GE(predicted, 0.0);
-        EXPECT_LE(predicted, 1.0);
-      }
     }
   }
 }
@@ -244,10 +216,9 @@ TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
 /// to charge a single sweep per slice regardless of the epoch count,
 /// understating that churn; it now sweeps min(epochs, 2) times — pass two
 /// is the steady state, so two passes capture the wraparound without
-/// paying the full epoch budget — in both the physical pool and the ledger
-/// predictor. This pins the fix by replaying the exact sweep sequences on
-/// bare pools: the executor's end state must match the two-pass replay and
-/// must NOT match the old one-pass behavior.
+/// paying the full epoch budget. This pins the fix by replaying the exact
+/// sweep sequences on bare pools: the executor's end state must match the
+/// two-pass replay and must NOT match the old one-pass behavior.
 TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   const ml::Workload* small_w = ml::FindWorkload("sn_lrmf");
   const ml::Workload* big_w = ml::FindWorkload("se_logistic");
@@ -301,11 +272,6 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   EXPECT_NE(pool->stats().misses, one_pass.stats().misses);
   EXPECT_EQ(pool->resident_frames("se_logistic"),
             one_pass.resident_frames("se_logistic"));
-
-  // The predictor saw the same two passes: scanning the oversized table
-  // leaves it at the post-run share on both sides of the cross-check.
-  EXPECT_NEAR(executor.WarmFraction("se_logistic", 0),
-              executor.PredictedWarmFraction("se_logistic", 0), 1e-3);
 }
 
 /// Fitting tables must be unaffected by the cap: their second pass is a
