@@ -79,6 +79,34 @@ void BM_BufferPoolFetchThrashing(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolFetchThrashing);
 
+void BM_BufferPoolSharedSweep(benchmark::State& state) {
+  // The serve-tiered regime: a shared 4096-frame promotional slot pool
+  // over an 8192-frame OS tier, swept alternately by a table 1.5x the pool
+  // and a pool-fitting one. Every touch misses, evicts and demotes (the
+  // overflowing sweep flushes the fitting table's probationary pages), so
+  // this is the miss path that dominates that pass. Residency probes only:
+  // TouchPage installs no page image.
+  constexpr uint64_t kFrames = 4096;
+  auto pool = BufferPool::SizedInFrames(kFrames, 32 * 1024, DiskModel{},
+                                        EvictionKind::kPromotional,
+                                        /*os_frames=*/2 * kFrames);
+  const uint32_t overflows = pool.InternTable("overflows");
+  const uint32_t fits = pool.InternTable("fits");
+  constexpr uint64_t kOverflowPages = kFrames * 3 / 2;
+  constexpr uint64_t kFitPages = kFrames / 2;
+  uint64_t touches = 0;
+  for (auto _ : state) {
+    pool.ScanTable(overflows, kOverflowPages);
+    pool.ScanTable(fits, kFitPages);
+    benchmark::DoNotOptimize(pool.stats().misses);
+    touches += kOverflowPages + kFitPages;
+  }
+  state.counters["touches/s"] = benchmark::Counter(
+      static_cast<double>(touches), benchmark::Counter::kIsRate);
+  state.counters["hit_rate"] = pool.stats().HitRate();
+}
+BENCHMARK(BM_BufferPoolSharedSweep);
+
 }  // namespace
 
 BENCHMARK_MAIN();

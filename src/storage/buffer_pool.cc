@@ -11,6 +11,8 @@ BufferPool::BufferPool(uint64_t capacity_bytes, uint32_t page_size,
     : page_size_(page_size), disk_(disk), eviction_(eviction) {
   uint64_t n = capacity_bytes / page_size;
   if (n == 0) n = 1;
+  DANA_CHECK(n < PageIndex::kMaxPages)
+      << "pool of " << n << " frames cannot be indexed";
   frames_.resize(n);
   switch (eviction_) {
     case EvictionKind::kClock:
@@ -98,11 +100,6 @@ void BufferPool::DemoteToOs(const Key& key) {
   }
 }
 
-void BufferPool::BumpOsCount(uint32_t table_id) {
-  if (table_id >= os_per_table_.size()) os_per_table_.resize(table_id + 1, 0);
-  ++os_per_table_[table_id];
-}
-
 Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
                                              uint64_t page_no) {
   if (table.layout().page_size != page_size_) {
@@ -118,11 +115,11 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   const uint32_t tid = InternTable(table.name());
   const Key key{tid, page_no};
   last_table_id_ = tid;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
+  const size_t slot = index_.Find(key);
+  if (slot != PageIndex::kAbsent) {
     ++stats_.hits;
-    Frame& frame = frames_[it->second];
-    PoolOnAccess(it->second);
+    Frame& frame = frames_[slot];
+    PoolOnAccess(slot);
     // A residency probe (TouchPage) may have installed this page without
     // an image; a data-consuming fetch materializes it now, for free (the
     // page is resident — only the simulator's host copy was elided).
@@ -140,7 +137,7 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   // device and pay a kernel memory copy instead; SSD-tier pages pay the
   // capacity device's bandwidth.
   if (eviction_ == EvictionKind::kClock) {
-    if (os_cached_.find(key) != os_cached_.end()) {
+    if (os_cached_.Contains(key)) {
       ++stats_.os_hits;
       stats_.io_time += dana::SimTime::Seconds(
           static_cast<double>(page_size_) / disk_.os_cache_bw);
@@ -152,8 +149,7 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
           disk_.request_latency /
               static_cast<double>(disk_.readahead_pages);
       if (os_cached_.size() < os_cache_pages_) {
-        os_cached_.insert(key);
-        BumpOsCount(tid);
+        os_cached_.Set(key, 0);
         ++version_;
       }
     }
@@ -185,10 +181,10 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
 bool BufferPool::TouchPage(uint32_t table_id, uint64_t page_no) {
   const Key key{table_id, page_no};
   last_table_id_ = table_id;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
+  const size_t slot = index_.Find(key);
+  if (slot != PageIndex::kAbsent) {
     ++stats_.hits;
-    PoolOnAccess(it->second);
+    PoolOnAccess(slot);
     return true;
   }
   // A data-less install: occupancy and eviction behave exactly like
@@ -209,6 +205,9 @@ bool BufferPool::TouchPage(uint32_t table_id, uint64_t page_no) {
 }
 
 void BufferPool::ScanTable(uint32_t table_id, uint64_t pages) {
+  // Fail before the sweep, not 2^32 touches into it.
+  DANA_CHECK(pages <= PageIndex::kMaxPages)
+      << "sweep of " << pages << " pages cannot be indexed (limit 2^32)";
   for (uint64_t p = 0; p < pages; ++p) TouchPage(table_id, p);
 }
 
@@ -222,7 +221,7 @@ double BufferPool::ResidentShare(uint32_t table_id, uint64_t pages) const {
 uint64_t BufferPool::tier_resident_frames(size_t tier) const {
   switch (tier) {
     case kPoolTier:
-      return resident_frames_;
+      return resident_frames();
     case kOsTier:
       return eviction_ == EvictionKind::kClock ? os_cached_.size()
                                                : os_tier_.resident();
@@ -238,10 +237,8 @@ uint64_t BufferPool::tier_resident_frames(size_t tier,
     case kPoolTier:
       return resident_frames(table_id);
     case kOsTier:
-      if (eviction_ == EvictionKind::kClock) {
-        return table_id < os_per_table_.size() ? os_per_table_[table_id] : 0;
-      }
-      return os_tier_.resident(table_id);
+      return eviction_ == EvictionKind::kClock ? os_cached_.size(table_id)
+                                               : os_tier_.resident(table_id);
     case kSsdTier:
       return ssd_tier_.resident(table_id);
   }
@@ -263,14 +260,11 @@ size_t BufferPool::AllocFrame() {
   // immediately reinstall, so occupancy is monotone between Clears and the
   // invalid frames form a contiguous tail the hand always sat at; after
   // the exact fill the seed hand wrapped to 0, where the policy's starts.
-  if (resident_frames_ < frames_.size()) return fill_cursor_++;
+  if (resident_frames() < frames_.size()) return fill_cursor_++;
   const size_t idx = PoolPickVictim();
   Frame& f = frames_[idx];
   const Key victim{f.table_id, f.page_no};
-  map_.erase(victim);
-  f.valid = false;
-  --resident_frames_;
-  --per_table_frames_[f.table_id];
+  index_.Erase(victim);
   ++stats_.evictions;
   if (eviction_ != EvictionKind::kClock) DemoteToOs(victim);
   return idx;
@@ -279,7 +273,6 @@ size_t BufferPool::AllocFrame() {
 void BufferPool::Install(size_t idx, uint32_t table_id, uint64_t page_no,
                          const uint8_t* src) {
   Frame& f = frames_[idx];
-  if (!f.valid) ++resident_frames_;
   if (src != nullptr) {
     if (!f.data) f.data = std::make_unique<uint8_t[]>(page_size_);
     std::memcpy(f.data.get(), src, page_size_);
@@ -288,13 +281,8 @@ void BufferPool::Install(size_t idx, uint32_t table_id, uint64_t page_no,
   }
   f.table_id = table_id;
   f.page_no = page_no;
-  f.valid = true;
   PoolOnInsert(idx);
-  if (table_id >= per_table_frames_.size()) {
-    per_table_frames_.resize(table_id + 1, 0);
-  }
-  ++per_table_frames_[table_id];
-  map_[Key{table_id, page_no}] = idx;
+  index_.Set(Key{table_id, page_no}, idx);
   ++version_;
 }
 
@@ -306,7 +294,7 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
   const uint32_t tid = InternTable(table.name());
   last_table_id_ = tid;
   for (uint64_t p = 0; p < n; ++p) {
-    if (map_.find(Key{tid, p}) != map_.end()) continue;
+    if (index_.Contains(Key{tid, p})) continue;
     const size_t idx = AllocFrame();
     Install(idx, tid, p, table.PageData(p));
   }
@@ -319,17 +307,14 @@ void BufferPool::MarkOsCached(const Table& table) {
   if (eviction_ == EvictionKind::kClock) {
     for (uint64_t p = 0; p < table.num_pages(); ++p) {
       if (os_cached_.size() >= os_cache_pages_) break;
-      if (os_cached_.insert(Key{tid, p}).second) {
-        BumpOsCount(tid);
-        changed = true;
-      }
+      if (os_cached_.Set(Key{tid, p}, 0)) changed = true;
     }
   } else if (os_tier_.enabled()) {
     for (uint64_t p = 0; p < table.num_pages(); ++p) {
       const Key key{tid, p};
       // Exclusive tiers: pages the pool already holds stay out of the OS
       // tier; the rest stream in, displacing victims down the cascade.
-      if (map_.find(key) != map_.end()) continue;
+      if (index_.Contains(key)) continue;
       PageKey displaced;
       if (os_tier_.Insert(key, &displaced)) {
         ++stats_.os_evictions;
@@ -352,17 +337,15 @@ double BufferPool::ResidentFraction(const Table& table) const {
   if (tid == dana::Interner::kInvalidId) return 0.0;
   uint64_t resident = 0;
   for (uint64_t p = 0; p < table.num_pages(); ++p) {
-    if (map_.find(Key{tid, p}) != map_.end()) ++resident;
+    if (index_.Contains(Key{tid, p})) ++resident;
   }
   return static_cast<double>(resident) /
          static_cast<double>(table.num_pages());
 }
 
 void BufferPool::Clear() {
-  for (auto& f : frames_) f.valid = false;
-  map_.clear();
-  os_cached_.clear();
-  os_per_table_.assign(os_per_table_.size(), 0);
+  index_.Clear();
+  os_cached_.Clear();
   os_tier_.Clear();
   ssd_tier_.Clear();
   fill_cursor_ = 0;
@@ -377,9 +360,7 @@ void BufferPool::Clear() {
       pool_promotional_->Reset();
       break;
   }
-  resident_frames_ = 0;
-  // Ids outlive the pages they name: only the per-id counts reset.
-  per_table_frames_.assign(per_table_frames_.size(), 0);
+  // Ids outlive the pages they name: the index keeps its rows, zeroed.
   last_table_id_ = dana::Interner::kInvalidId;
   ++version_;
 }
@@ -476,7 +457,7 @@ void BufferPool::PublishTo(obs::MetricRegistry* metrics,
   obs::SetGauge(metrics, prefix + ".hit_rate", stats_.HitRate());
   obs::SetGauge(metrics, prefix + ".io_time_s", stats_.io_time.seconds());
   obs::SetGauge(metrics, prefix + ".resident_frames",
-                static_cast<double>(resident_frames_));
+                static_cast<double>(resident_frames()));
   // Per-tier view: tier0 is the pool itself, tier1 the OS page-cache
   // tier, tier2 the optional SSD capacity tier (published only when
   // enabled, so a given configuration always emits the same gauge set).
@@ -485,7 +466,7 @@ void BufferPool::PublishTo(obs::MetricRegistry* metrics,
   obs::SetGauge(metrics, prefix + ".tier0.evictions",
                 static_cast<double>(stats_.evictions));
   obs::SetGauge(metrics, prefix + ".tier0.resident_frames",
-                static_cast<double>(resident_frames_));
+                static_cast<double>(resident_frames()));
   obs::SetGauge(metrics, prefix + ".tier1.hits",
                 static_cast<double>(stats_.os_hits));
   obs::SetGauge(metrics, prefix + ".tier1.misses",

@@ -4,8 +4,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/intern.h"
@@ -68,13 +66,22 @@ struct BufferPoolStats {
 /// original behaviour, and it gives the pool exact per-table frame
 /// accounting (resident_frames(table), tier_resident_frames(tier, table)).
 ///
-/// Internally table names are interned into dense per-pool ids (InternTable)
-/// and every frame, page key, and per-table counter is integer-keyed — a
-/// touch hashes two integers, never a string. The string-facing APIs remain
-/// as thin shims that intern (mutating calls) or look up (const calls) the
-/// name once per call; per-page loops like ScanTable pay the string exactly
-/// once per sweep. Ids are stable for the pool's lifetime — Clear() drops
-/// pages, not the name table — so callers may cache them across runs.
+/// Internally table names are interned into dense per-pool ids (InternTable),
+/// and every tier finds a page through a dense PageIndex keyed by (table id,
+/// page number): a touch is two array loads, never a hash, and a miss that
+/// demotes down the hierarchy allocates nothing once the rows have grown.
+/// The string-facing APIs remain as thin shims that intern (mutating calls)
+/// or look up (const calls) the name once per call; per-page loops like
+/// ScanTable pay the string exactly once per sweep. Ids are stable for the
+/// pool's lifetime — Clear() drops pages, not the name table — so callers
+/// may cache them across runs.
+///
+/// Page numbers are bounded: the index rows are indexed by page number, so
+/// a page number must be below PageIndex::kMaxPages (2^32), and every tier
+/// spends 4 bytes per page number up to the highest one it has held, per
+/// table. FetchPage only sees pages of a real table; TouchPage and
+/// ScanTable fail a DANA_CHECK on a page number past the bound before any
+/// row grows.
 class BufferPool {
  public:
   /// Tier indices for the per-tier accessors and `tier<j>.*` gauges.
@@ -136,7 +143,8 @@ class BufferPool {
   /// Hit/miss/eviction counters still advance. Under lru/promotional a
   /// miss consults the lower tiers: an OS/SSD-tier hit promotes the page
   /// into the pool and the displaced victim demotes down the hierarchy.
-  /// Returns true on a (pool) hit.
+  /// Returns true on a (pool) hit. `page_no` must be below
+  /// PageIndex::kMaxPages (a DANA_CHECK, see the class comment).
   bool TouchPage(uint32_t table_id, uint64_t page_no);
   bool TouchPage(const std::string& table, uint64_t page_no) {
     return TouchPage(InternTable(table), page_no);
@@ -147,6 +155,7 @@ class BufferPool {
   /// Strider scan. A table larger than the pool ends with its trailing
   /// pool-sized window resident (clock replacement under a sequential
   /// scan); co-located tables are evicted only under install pressure.
+  /// `pages` must be at most PageIndex::kMaxPages (checked up front).
   void ScanTable(uint32_t table_id, uint64_t pages);
   void ScanTable(const std::string& table, uint64_t pages) {
     ScanTable(InternTable(table), pages);
@@ -197,14 +206,13 @@ class BufferPool {
   /// Frames currently holding a valid page. Unlike stats(), this is pool
   /// *state*, not an event counter: ResetStats() does not touch it, only
   /// Clear() and evictions do. Never exceeds num_frames().
-  uint64_t resident_frames() const { return resident_frames_; }
+  uint64_t resident_frames() const { return index_.size(); }
   /// Frames currently holding pages of `table` — the per-table partition
   /// of resident_frames(). This is the physical residency signal the
   /// scheduler's executor prices placement from when a slot's tables share
   /// one pool.
   uint64_t resident_frames(uint32_t table_id) const {
-    return table_id < per_table_frames_.size() ? per_table_frames_[table_id]
-                                               : 0;
+    return index_.size(table_id);
   }
   uint64_t resident_frames(const std::string& table) const {
     return resident_frames(names_.Find(table));
@@ -258,16 +266,17 @@ class BufferPool {
                  const std::string& prefix) const;
 
  private:
+  /// A frame holds a page iff index_ maps that page to it. The identity
+  /// of an unmapped frame (evicted, past fill_cursor_, or cleared) is
+  /// stale, and AllocFrame only reads it back from a mapped victim.
   struct Frame {
     std::unique_ptr<uint8_t[]> data;
     uint32_t table_id = dana::Interner::kInvalidId;
     uint64_t page_no = 0;
-    bool valid = false;
   };
   /// Page identity: interned table id + page number (shared with the
   /// lower tiers).
   using Key = PageKey;
-  using KeyHash = PageKeyHash;
 
   /// Returns a frame to install into: the next never-filled frame while
   /// the pool is filling (no policy involved — matches the seed, whose
@@ -292,14 +301,12 @@ class BufferPool {
   /// victim into the SSD tier (lru/promotional only).
   void DemoteToOs(const Key& key);
 
-  /// Grows/increments the legacy clock-mode per-table OS-set count.
-  void BumpOsCount(uint32_t table_id);
-
   uint32_t page_size_;
   DiskModel disk_;
   EvictionKind eviction_ = EvictionKind::kClock;
   std::vector<Frame> frames_;
-  std::unordered_map<Key, size_t, KeyHash> map_;
+  /// Page -> frame of every resident page, and the resident counts.
+  PageIndex index_;
   /// Next never-filled frame; only consulted while resident < capacity.
   size_t fill_cursor_ = 0;
   // Pool-tier policy: exactly one is non-null, selected by eviction_.
@@ -307,17 +314,13 @@ class BufferPool {
   std::unique_ptr<LruEvictionPolicy> pool_lru_;
   std::unique_ptr<PromotionalEvictionPolicy> pool_promotional_;
   BufferPoolStats stats_;
-  uint64_t resident_frames_ = 0;
-  /// Interned table names; ids index per_table_frames_ and key the maps.
+  /// Interned table names; ids key the page indexes.
   dana::Interner names_;
-  /// table id -> frames currently held; values partition resident_frames_.
-  std::vector<uint64_t> per_table_frames_;
   uint32_t last_table_id_ = dana::Interner::kInvalidId;
   uint64_t version_ = 0;
-  /// Clock mode only: the legacy admit-until-full OS page-cache set and
-  /// its per-table partition (bit-compatible with the seed pools).
-  std::unordered_set<Key, KeyHash> os_cached_;
-  std::vector<uint64_t> os_per_table_;
+  /// Clock mode only: the legacy admit-until-full OS page-cache set
+  /// (bit-compatible with the seed pools); presence only, slot unused.
+  PageIndex os_cached_;
   uint64_t os_cache_pages_ = UINT64_MAX;
   /// lru/promotional: the evicting OS and SSD tiers (exclusive of the
   /// pool; disabled tiers have capacity 0).

@@ -39,6 +39,8 @@ std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionKind kind,
 PageTier::PageTier(EvictionKind kind, uint64_t capacity)
     : capacity_(capacity), kind_(kind) {
   if (capacity_ == 0) return;
+  DANA_CHECK(capacity_ < PageIndex::kMaxPages)
+      << "tier of " << capacity_ << " slots cannot be indexed";
   const size_t n = static_cast<size_t>(capacity_);
   switch (kind_) {
     case EvictionKind::kClock:
@@ -99,28 +101,25 @@ size_t PageTier::PolicyPickVictim() {
 
 bool PageTier::Touch(const PageKey& key) {
   if (!enabled()) return false;
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  PolicyOnAccess(it->second);
+  const size_t slot = index_.Find(key);
+  if (slot == PageIndex::kAbsent) return false;
+  PolicyOnAccess(slot);
   return true;
 }
 
 bool PageTier::Erase(const PageKey& key) {
   if (!enabled()) return false;
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  const size_t slot = it->second;
-  map_.erase(it);
-  if (key.table_id < per_table_.size()) --per_table_[key.table_id];
+  const size_t slot = index_.Erase(key);
+  if (slot == PageIndex::kAbsent) return false;
   free_slots_.push_back(slot);
   return true;
 }
 
 bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
   if (!enabled()) return false;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    PolicyOnAccess(it->second);
+  const size_t present = index_.Find(key);
+  if (present != PageIndex::kAbsent) {
+    PolicyOnAccess(present);
     return false;
   }
   bool displaced = false;
@@ -131,26 +130,20 @@ bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
   } else {
     slot = PolicyPickVictim();
     const PageKey victim = slot_keys_[slot];
-    map_.erase(victim);
-    if (victim.table_id < per_table_.size()) --per_table_[victim.table_id];
+    index_.Erase(victim);
     ++evictions_;
     if (evicted != nullptr) *evicted = victim;
     displaced = true;
   }
   slot_keys_[slot] = key;
-  map_[key] = slot;
-  if (key.table_id >= per_table_.size()) {
-    per_table_.resize(key.table_id + 1, 0);
-  }
-  ++per_table_[key.table_id];
+  index_.Set(key, slot);
   PolicyOnInsert(slot);
   return displaced;
 }
 
 void PageTier::Clear() {
   if (!enabled()) return;
-  map_.clear();
-  per_table_.assign(per_table_.size(), 0);
+  index_.Clear();
   free_slots_.clear();
   for (size_t i = slot_keys_.size(); i > 0; --i) free_slots_.push_back(i - 1);
   switch (kind_) {

@@ -1,13 +1,14 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -212,30 +213,115 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionKind kind,
                                                    size_t capacity);
 
-/// Page identity within a pool/tier: interned table id + page number. Two
-/// integers — tier maps never hash or compare a string on the touch path.
+/// Page identity within a pool/tier: interned table id + page number.
 struct PageKey {
   uint32_t table_id;
   uint64_t page_no;
   bool operator==(const PageKey&) const = default;
 };
-struct PageKeyHash {
-  size_t operator()(const PageKey& k) const {
-    // Fibonacci mixing of the two fields; page numbers are sequential,
-    // so the multiply is what spreads neighbouring pages across buckets.
-    return static_cast<size_t>(
-        (k.page_no * 0x9E3779B97F4A7C15ull) ^
-        (static_cast<uint64_t>(k.table_id) * 0xC2B2AE3D27D4EB4Full));
+
+/// Dense page -> slot index of one cache tier, and its occupancy counts.
+/// One row per interned table id, indexed by page number, holds slot + 1
+/// (0 = absent): a lookup is two array loads, never a hash, and Set/Erase
+/// never allocate once a row has grown past the page. The index also keeps
+/// the number of pages it holds, in total and per table, so a tier's
+/// occupancy reads are O(1). Clear() zeroes the rows in place; ids and row
+/// capacity survive it.
+///
+/// A row costs 4 bytes per page number up to the highest one set (page
+/// 1,000,000 of a table alone makes a 4 MB row), so page numbers must be
+/// below kMaxPages: a larger one fails a DANA_CHECK before its row grows.
+class PageIndex {
+ public:
+  /// Exclusive bound on page numbers (and on slots, which are stored + 1).
+  static constexpr uint64_t kMaxPages = uint64_t{1} << 32;
+  /// Find()/Erase() result for a key the index does not hold.
+  static constexpr size_t kAbsent = static_cast<size_t>(-1);
+
+  /// Slot holding `key`, or kAbsent.
+  size_t Find(const PageKey& key) const {
+    if (key.table_id >= rows_.size()) return kAbsent;
+    const std::vector<uint32_t>& slots = rows_[key.table_id].slots;
+    // A stored 0 (absent) wraps to kAbsent.
+    return key.page_no < slots.size()
+               ? static_cast<size_t>(slots[key.page_no]) - 1
+               : kAbsent;
   }
+  bool Contains(const PageKey& key) const { return Find(key) != kAbsent; }
+
+  /// Maps `key` to `slot`; returns true iff `key` was absent.
+  bool Set(const PageKey& key, size_t slot) {
+    Row& row = RowFor(key);
+    uint32_t& cell = row.slots[key.page_no];
+    const bool added = cell == 0;
+    if (added) {
+      ++row.count;
+      ++size_;
+    }
+    cell = static_cast<uint32_t>(slot + 1);
+    return added;
+  }
+
+  /// Removes `key`; returns the slot it held, or kAbsent.
+  size_t Erase(const PageKey& key) {
+    if (key.table_id >= rows_.size()) return kAbsent;
+    Row& row = rows_[key.table_id];
+    if (key.page_no >= row.slots.size()) return kAbsent;
+    uint32_t& cell = row.slots[key.page_no];
+    if (cell == 0) return kAbsent;
+    const size_t slot = static_cast<size_t>(cell) - 1;
+    cell = 0;
+    --row.count;
+    --size_;
+    return slot;
+  }
+
+  /// Pages held, in total and of one table.
+  uint64_t size() const { return size_; }
+  uint64_t size(uint32_t table_id) const {
+    return table_id < rows_.size() ? rows_[table_id].count : 0;
+  }
+
+  void Clear() {
+    for (Row& row : rows_) {
+      if (row.count == 0) continue;
+      std::fill(row.slots.begin(), row.slots.end(), 0);
+      row.count = 0;
+    }
+    size_ = 0;
+  }
+
+ private:
+  struct Row {
+    std::vector<uint32_t> slots;
+    uint64_t count = 0;
+  };
+
+  /// The row of `key`'s table, grown to cover its page.
+  Row& RowFor(const PageKey& key) {
+    if (key.table_id >= rows_.size()) rows_.resize(key.table_id + 1);
+    Row& row = rows_[key.table_id];
+    if (key.page_no >= row.slots.size()) {
+      DANA_CHECK(key.page_no < kMaxPages)
+          << "page " << key.page_no << " cannot be indexed (limit 2^32)";
+      row.slots.resize(key.page_no + 1, 0);
+    }
+    return row;
+  }
+
+  std::vector<Row> rows_;
+  uint64_t size_ = 0;
 };
 
 /// A key-addressed cache tier below the buffer pool: the modeled kernel
 /// page cache or an SSD-style capacity tier. It holds page *identities*
 /// only (no frames, no data — tier hits are priced by the pool's DiskModel)
-/// and delegates victim selection to an EvictionPolicy over its dense slot
-/// indices. Unlike the seed's `os_cached_` set, a full tier evicts: a
-/// post-saturation insert displaces a victim and reports it so the owner
-/// can cascade the demotion down to the next tier.
+/// in `capacity` dense slots: a PageIndex maps each held page to its slot
+/// (and counts them), `slot_keys_` maps back, and victim selection over the
+/// slots is delegated to an EvictionPolicy. Unlike the clock pools' legacy
+/// admit-until-full OS set, a full tier evicts: a post-saturation insert
+/// displaces a victim and reports it so the owner can cascade the demotion
+/// down to the next tier.
 class PageTier {
  public:
   /// A disabled tier: every operation is a no-op returning "absent".
@@ -244,15 +330,13 @@ class PageTier {
 
   bool enabled() const { return capacity_ > 0; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t resident() const { return map_.size(); }
+  uint64_t resident() const { return index_.size(); }
   uint64_t resident(uint32_t table_id) const {
-    return table_id < per_table_.size() ? per_table_[table_id] : 0;
+    return index_.size(table_id);
   }
   uint64_t evictions() const { return evictions_; }
 
-  bool Contains(const PageKey& key) const {
-    return map_.find(key) != map_.end();
-  }
+  bool Contains(const PageKey& key) const { return index_.Contains(key); }
 
   /// Re-references `key` (policy OnAccess). Returns true if present.
   bool Touch(const PageKey& key);
@@ -281,10 +365,9 @@ class PageTier {
   std::unique_ptr<ClockEvictionPolicy> clock_;
   std::unique_ptr<LruEvictionPolicy> lru_;
   std::unique_ptr<PromotionalEvictionPolicy> promotional_;
-  std::unordered_map<PageKey, size_t, PageKeyHash> map_;
+  PageIndex index_;
   std::vector<PageKey> slot_keys_;
   std::vector<size_t> free_slots_;
-  std::vector<uint64_t> per_table_;
   uint64_t evictions_ = 0;
 };
 

@@ -137,6 +137,27 @@ const char* Flag(int argc, char** argv, const char* name,
   return fallback;
 }
 
+/// Strict integer flag: the value of `name` (else `fallback`) must be a
+/// whole base-10 integer in [lo, hi]; `range` spells that interval for the
+/// message. On a non-number, trailing junk or an out-of-range value it
+/// prints the accepted range and returns false, and the caller exits 2
+/// (atoll would silently read a typo as 0).
+bool IntFlag(int argc, char** argv, const char* name, const char* fallback,
+             long long lo, long long hi, const char* range, long long* out) {
+  const char* text = Flag(argc, argv, name, fallback);
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || value < lo || value > hi) {
+    std::fprintf(stderr,
+                 "%s must be an integer in %s (got '%s'); the default is "
+                 "%s\n",
+                 name, range, text, fallback);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool HasFlag(int argc, char** argv, const char* name) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return true;
@@ -391,18 +412,10 @@ int CmdSched(int argc, char** argv) {
   // pool eagerly allocates its frame table, so the ceiling must be a
   // count a process can actually hold (2^20 frames ~ 60 MB of frame
   // metadata per slot); resolution gains above the 4096 default are
-  // already below 0.1% quantization. Parsed strictly: atoll would read a
-  // typo as 0.
-  const char* pool_frames_flag = Flag(argc, argv, "--pool-frames", "4096");
-  char* pool_frames_end = nullptr;
-  const long long pool_frames =
-      std::strtoll(pool_frames_flag, &pool_frames_end, 10);
-  if (pool_frames_end == pool_frames_flag || *pool_frames_end != '\0' ||
-      pool_frames < 1 || pool_frames > (1ll << 20)) {
-    std::fprintf(stderr,
-                 "--pool-frames must be an integer in 1..2^20 (got '%s'); "
-                 "the default is 4096\n",
-                 pool_frames_flag);
+  // already below 0.1% quantization.
+  long long pool_frames = 0;
+  if (!IntFlag(argc, argv, "--pool-frames", "4096", 1, 1ll << 20, "1..2^20",
+               &pool_frames)) {
     return 2;
   }
   // Tiered hierarchy: replacement policy of the slot pools and an optional
@@ -414,10 +427,9 @@ int CmdSched(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", eviction.status().ToString().c_str());
     return 2;
   }
-  const long long os_frames =
-      std::atoll(Flag(argc, argv, "--os-frames", "0"));
-  if (os_frames < 0 || os_frames > (1ll << 20)) {
-    std::fprintf(stderr, "--os-frames must be in 0..2^20\n");
+  long long os_frames = 0;
+  if (!IntFlag(argc, argv, "--os-frames", "0", 0, 1ll << 20, "0..2^20",
+               &os_frames)) {
     return 2;
   }
   if (os_frames > 0 && *eviction == storage::EvictionKind::kClock) {
