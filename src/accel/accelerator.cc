@@ -16,8 +16,6 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
                                      storage::BufferPool* pool,
                                      const RunOptions& options) const {
   const compiler::ScalarProgram& prog = udf_.program;
-  const compiler::DesignPoint& design = udf_.design;
-  const double freq = udf_.fpga.freq_hz;
 
   engine::ScalarEvaluator evaluator(prog);
   for (size_t m = 0; m < options.initial_models.size(); ++m) {
@@ -38,12 +36,10 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
   if (options.epoch_limit != 0) {
     segment_budget = std::min(segment_budget, options.epoch_limit);
   }
+  // Co-trained queries sharing this pass see identical tuples, so the
+  // update rules are evaluated functionally once; Time() charges the
+  // engine cycles once per model.
   const uint64_t batch_size = std::max<uint32_t>(prog.merge_coef, 1);
-  const uint32_t threads = design.num_threads;
-  // Co-trained queries sharing this pass: identical models see identical
-  // tuples, so the update rules are evaluated functionally once and the
-  // engine cycle cost is charged once per model.
-  const uint32_t batch_q = std::max<uint32_t>(options.batch_queries, 1);
 
   RunReport report;
   // The configuration FSM programs the design once per run; a resumed
@@ -59,28 +55,13 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
 
   for (uint32_t epoch = 0; epoch < segment_budget; ++epoch) {
     const dana::SimTime io_before = pool->stats().io_time;
-    uint64_t strider_cycles = 0;
-    uint64_t engine_cycles = 0;
-    uint64_t batches = 0;
-    uint64_t tuples_this_epoch = 0;
+    EpochWalk walk;
+    walk.pages = table.num_pages();
+    walk.page_bytes = table.num_pages() * table.layout().page_size;
 
     auto flush_batch = [&]() -> Status {
       if (batch_tuples == 0) return Status::OK();
       DANA_RETURN_NOT_OK(evaluator.EvalPackedBatch(batch, batch_tuples));
-      // Timing: each thread runs ceil(batch/threads) rule instances
-      // back-to-back, then the tree bus merges and the model updates.
-      const uint64_t rule_runs = (batch_tuples + threads - 1) / threads;
-      engine_cycles +=
-          batch_q *
-          (rule_runs * std::max<uint64_t>(design.tuple_schedule.EffectiveMakespan(
-                                              design.inter_ac_bus_lanes,
-                                              threads),
-                                          1) +
-           compiler::MergeCycles(threads, prog.merge_slots.size(),
-                                 prog.ModelElements(),
-                                 design.tree_bus_lanes) +
-           design.batch_schedule.makespan);
-      ++batches;
       batch.clear();
       batch_tuples = 0;
       return Status::OK();
@@ -91,7 +72,7 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
       DANA_ASSIGN_OR_RETURN(
           PageExtraction extraction,
           access.WalkPage({frame, table.layout().page_size}));
-      strider_cycles += extraction.strider_cycles;
+      walk.strider_cycles += extraction.strider_cycles;
       report.strider_instructions += extraction.tuples.size();
       for (const std::vector<uint8_t>& payload : extraction.tuples) {
         if (payload.size() < tuple_bytes) {
@@ -103,85 +84,15 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
         batch.insert(batch.end(), payload.begin(),
                      payload.begin() + tuple_bytes);
         ++batch_tuples;
-        ++tuples_this_epoch;
+        ++walk.tuples;
         if (batch_tuples >= batch_size) {
           DANA_RETURN_NOT_OK(flush_batch());
         }
       }
     }
     DANA_RETURN_NOT_OK(flush_batch());
-    report.tuples_processed += tuples_this_epoch;
-
-    // ---- Epoch timing ----------------------------------------------------
-    EpochBreakdown bd;
-    bd.io = pool->stats().io_time - io_before;
-
-    const double axi_bpc =
-        udf_.fpga.AxiBytesPerCycle() * options.bandwidth_scale;
-    const uint64_t page_bytes = table.num_pages() * table.layout().page_size;
-
-    if (!options.strider_bypass) {
-      const uint64_t axi_cycles = static_cast<uint64_t>(
-          std::ceil(static_cast<double>(page_bytes) / axi_bpc));
-      const uint64_t strider_par =
-          strider_cycles / std::max<uint32_t>(design.num_page_buffers, 1);
-      bd.axi = dana::SimTime::Cycles(axi_cycles, freq);
-      bd.strider = dana::SimTime::Cycles(strider_par, freq);
-      bd.engine = dana::SimTime::Cycles(engine_cycles, freq);
-      uint64_t fpga_cycles;
-      if (design.num_page_buffers >= 2) {
-        // Access/execute interleaving: epoch runs at the slowest stage.
-        fpga_cycles = std::max({axi_cycles, strider_par, engine_cycles}) +
-                      strider_cycles / std::max<uint64_t>(
-                                           table.num_pages(), 1);  // fill
-      } else {
-        fpga_cycles = axi_cycles + strider_par + engine_cycles;
-      }
-      fpga_cycles += design.epoch_schedule.makespan;
-      const dana::SimTime fpga_time = dana::SimTime::Cycles(fpga_cycles, freq);
-      // The accelerator stalls when the buffer pool cannot replace pages
-      // fast enough (§7.1, S/N SVM): wall = slower of I/O and FPGA.
-      bd.wall = dana::SimTime::Max(fpga_time, bd.io);
-      bd.shared = dana::SimTime::Max(
-          bd.io, dana::SimTime::Cycles(std::max(axi_cycles, strider_par),
-                                       freq));
-      bd.per_query = bd.engine / static_cast<double>(batch_q);
-      report.fpga_cycles += fpga_cycles;
-      report.fpga_time += fpga_time;
-    } else {
-      // Figure 11 alternative: CPU extracts and transforms each tuple and
-      // DMAs it individually; no access/execute interleaving is possible.
-      const uint64_t tuple_bytes = 4 * prog.TupleElements();
-      const dana::SimTime cpu_extract =
-          (options.cpu_extract_per_tuple +
-           dana::SimTime::Nanos(options.cpu_extract_ns_per_byte *
-                                static_cast<double>(tuple_bytes))) *
-          static_cast<double>(tuples_this_epoch);
-      const uint64_t dma_cycles = static_cast<uint64_t>(
-          std::ceil(static_cast<double>(tuple_bytes) / axi_bpc +
-                    static_cast<double>(options.handshake_cycles_per_tuple)) *
-          tuples_this_epoch);
-      const uint64_t fpga_cycles =
-          dma_cycles + engine_cycles + design.epoch_schedule.makespan;
-      bd.axi = dana::SimTime::Cycles(dma_cycles, freq);
-      bd.strider = dana::SimTime::Zero();
-      bd.engine = dana::SimTime::Cycles(engine_cycles, freq);
-      const dana::SimTime fpga_time = dana::SimTime::Cycles(fpga_cycles, freq);
-      bd.wall = cpu_extract + dana::SimTime::Max(fpga_time, bd.io);
-      // Bypass mode: CPU extraction + per-tuple DMA stream once per pass;
-      // only the engine compute replicates per co-trained model.
-      bd.shared = cpu_extract + dana::SimTime::Max(bd.axi, bd.io);
-      bd.per_query = bd.engine / static_cast<double>(batch_q);
-      report.fpga_cycles += fpga_cycles;
-      report.fpga_time += fpga_time;
-    }
-
-    report.io_time += bd.io;
-    report.total_time += bd.wall;
-    report.shared_time += bd.shared;
-    report.per_query_time += bd.per_query;
-    report.epochs.push_back(bd);
-    ++report.epochs_run;
+    report.tuples_processed += walk.tuples;
+    report.AddEpoch(Time(walk, options), pool->stats().io_time - io_before);
 
     DANA_ASSIGN_OR_RETURN(bool stop, evaluator.EvalConvergence());
     if (stop) {
@@ -198,6 +109,124 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
     report.final_models[m] = evaluator.Model(m);
   }
   return report;
+}
+
+Result<EpochWalk> Accelerator::Walk(const storage::Table& table) const {
+  AccessEngine access(access_config_, udf_.strider_program);
+  EpochWalk walk;
+  walk.pages = table.num_pages();
+  walk.page_bytes = table.num_pages() * table.layout().page_size;
+  for (uint64_t p = 0; p < table.num_pages(); ++p) {
+    DANA_ASSIGN_OR_RETURN(
+        PageExtraction extraction,
+        access.WalkPage({table.PageData(p), table.layout().page_size}));
+    walk.strider_cycles += extraction.strider_cycles;
+    walk.tuples += extraction.tuples.size();
+  }
+  return walk;
+}
+
+EpochTiming Accelerator::Time(const EpochWalk& walk,
+                              const RunOptions& options) const {
+  const compiler::ScalarProgram& prog = udf_.program;
+  const compiler::DesignPoint& design = udf_.design;
+  const double freq = udf_.fpga.freq_hz;
+  const uint32_t threads = design.num_threads;
+  const uint32_t batch_q = std::max<uint32_t>(options.batch_queries, 1);
+
+  // Engine: the epoch's tuples form full batches of merge_coef plus one
+  // remainder batch. Per batch, each thread runs ceil(batch/threads) rule
+  // instances back-to-back, then the tree bus merges and the model
+  // updates; every co-trained model pays it.
+  const uint64_t batch_size = std::max<uint32_t>(prog.merge_coef, 1);
+  const uint64_t rule_cycles = std::max<uint64_t>(
+      design.tuple_schedule.EffectiveMakespan(design.inter_ac_bus_lanes,
+                                              threads),
+      1);
+  const uint64_t merge_cycles =
+      compiler::MergeCycles(threads, prog.merge_slots.size(),
+                            prog.ModelElements(), design.tree_bus_lanes) +
+      design.batch_schedule.makespan;
+  const auto batch_cycles = [&](uint64_t tuples) -> uint64_t {
+    const uint64_t rule_runs = (tuples + threads - 1) / threads;
+    return batch_q * (rule_runs * rule_cycles + merge_cycles);
+  };
+  const uint64_t remainder = walk.tuples % batch_size;
+  const uint64_t engine_cycles =
+      walk.tuples / batch_size * batch_cycles(batch_size) +
+      (remainder != 0 ? batch_cycles(remainder) : 0);
+
+  const double axi_bpc =
+      udf_.fpga.AxiBytesPerCycle() * options.bandwidth_scale;
+  EpochTiming t;
+  t.batch_queries = batch_q;
+  t.engine = dana::SimTime::Cycles(engine_cycles, freq);
+  if (!options.strider_bypass) {
+    const uint64_t axi_cycles = static_cast<uint64_t>(
+        std::ceil(static_cast<double>(walk.page_bytes) / axi_bpc));
+    const uint64_t strider_par =
+        walk.strider_cycles / std::max<uint32_t>(design.num_page_buffers, 1);
+    if (design.num_page_buffers >= 2) {
+      // Access/execute interleaving: epoch runs at the slowest stage.
+      t.fpga_cycles =
+          std::max({axi_cycles, strider_par, engine_cycles}) +
+          walk.strider_cycles / std::max<uint64_t>(walk.pages, 1);  // fill
+    } else {
+      t.fpga_cycles = axi_cycles + strider_par + engine_cycles;
+    }
+    t.axi = dana::SimTime::Cycles(axi_cycles, freq);
+    t.strider = dana::SimTime::Cycles(strider_par, freq);
+    t.access =
+        dana::SimTime::Cycles(std::max(axi_cycles, strider_par), freq);
+  } else {
+    // Figure 11 alternative: CPU extracts and transforms each tuple and
+    // DMAs it individually; no access/execute interleaving is possible.
+    const uint64_t tuple_bytes = 4 * prog.TupleElements();
+    t.cpu_extract =
+        (options.cpu_extract_per_tuple +
+         dana::SimTime::Nanos(options.cpu_extract_ns_per_byte *
+                              static_cast<double>(tuple_bytes))) *
+        static_cast<double>(walk.tuples);
+    const uint64_t dma_cycles = static_cast<uint64_t>(
+        std::ceil(static_cast<double>(tuple_bytes) / axi_bpc +
+                  static_cast<double>(options.handshake_cycles_per_tuple)) *
+        walk.tuples);
+    t.fpga_cycles = dma_cycles + engine_cycles;
+    t.axi = dana::SimTime::Cycles(dma_cycles, freq);
+    t.strider = dana::SimTime::Zero();
+    // CPU extraction and the per-tuple DMA stream once per pass; only the
+    // engine compute replicates per co-trained model.
+    t.access = t.axi;
+  }
+  t.fpga_cycles += design.epoch_schedule.makespan;
+  t.fpga = dana::SimTime::Cycles(t.fpga_cycles, freq);
+  return t;
+}
+
+EpochBreakdown EpochTiming::Fold(dana::SimTime io) const {
+  EpochBreakdown bd;
+  bd.io = io;
+  bd.axi = axi;
+  bd.strider = strider;
+  bd.engine = engine;
+  // The accelerator stalls when the buffer pool cannot replace pages fast
+  // enough (§7.1, S/N SVM): wall = slower of I/O and FPGA.
+  bd.wall = cpu_extract + dana::SimTime::Max(fpga, io);
+  bd.shared = cpu_extract + dana::SimTime::Max(io, access);
+  bd.per_query = engine / static_cast<double>(batch_queries);
+  return bd;
+}
+
+void RunReport::AddEpoch(const EpochTiming& timing, dana::SimTime io) {
+  const EpochBreakdown bd = timing.Fold(io);
+  fpga_cycles += timing.fpga_cycles;
+  fpga_time += timing.fpga;
+  io_time += bd.io;
+  total_time += bd.wall;
+  shared_time += bd.shared;
+  per_query_time += bd.per_query;
+  epochs.push_back(bd);
+  ++epochs_run;
 }
 
 }  // namespace dana::accel

@@ -53,7 +53,8 @@ struct RunOptions {
 };
 
 /// Timing breakdown of one epoch (all converted to simulated time at the
-/// design's clock).
+/// design's clock): an EpochTiming, identical at every cache state, with
+/// the epoch's buffer-pool I/O folded in (EpochTiming::Fold).
 struct EpochBreakdown {
   dana::SimTime io;        ///< buffer-pool miss service time
   dana::SimTime axi;       ///< page DMA over the host link
@@ -69,6 +70,39 @@ struct EpochBreakdown {
   /// pipelining overlaps the two.
   dana::SimTime shared;
   dana::SimTime per_query;
+};
+
+/// What one Strider walk of a table yields for timing. Every epoch of a
+/// run walks the same pages, so one walk prices all of them.
+struct EpochWalk {
+  uint64_t pages = 0;
+  uint64_t page_bytes = 0;  ///< pages times the layout's page size
+  uint64_t tuples = 0;
+  uint64_t strider_cycles = 0;  ///< summed over pages, shifter included
+};
+
+/// The I/O-independent part of one epoch's timing. The buffer pool only
+/// adds I/O (§7.1), so these components are identical at every cache
+/// state; EpochTiming::Fold adds a measured I/O time to make the epoch's
+/// breakdown.
+struct EpochTiming {
+  dana::SimTime axi;      ///< page DMA (per-tuple DMA in bypass mode)
+  dana::SimTime strider;  ///< page walking, parallel across buffers
+  dana::SimTime engine;   ///< engine compute of the whole batch
+  dana::SimTime fpga;     ///< on-FPGA time of the epoch
+  uint64_t fpga_cycles = 0;
+  /// The streaming side that overlaps I/O in the shared attribution: the
+  /// slower of AXI and page walking, or the per-tuple DMA in bypass mode.
+  dana::SimTime access;
+  /// Bypass mode only: the CPU extract/transform time, which serializes
+  /// ahead of the FPGA work. Zero with Striders.
+  dana::SimTime cpu_extract;
+  uint32_t batch_queries = 1;
+
+  /// The epoch's breakdown once `io` of buffer-pool miss time is added:
+  /// the FPGA waits for pages it cannot get (wall = slower of FPGA and
+  /// I/O), and the shared side is the slower of I/O and streaming.
+  EpochBreakdown Fold(dana::SimTime io) const;
 };
 
 /// Result of a training run (or of one segment of a segmented run).
@@ -92,6 +126,10 @@ struct RunReport {
   std::vector<EpochBreakdown> epochs;
   /// Trained model values, one vector per model variable.
   std::vector<std::vector<float>> final_models;
+
+  /// Appends one epoch of `timing` that paid `io` of buffer-pool misses,
+  /// accumulating every total above.
+  void AddEpoch(const EpochTiming& timing, dana::SimTime io);
 };
 
 /// The DAnA accelerator: functional + cycle-level simulation of the
@@ -102,6 +140,9 @@ struct RunReport {
 /// the returned model is genuinely trained. Timing follows the paper's
 /// pipeline: with >=2 page buffers the access engine interleaves with the
 /// execution engine, so an epoch runs at the rate of its slowest stage.
+/// That timing depends only on the Strider walk of the table and the
+/// buffer pool's I/O, never on the model: Walk + Time give an epoch's
+/// FPGA side without training, and Train charges its epochs the same way.
 ///
 /// With `RunOptions::batch_queries = K > 1` the simulator models a
 /// cross-query batched pass: K queries of the same algorithm co-train off
@@ -118,6 +159,16 @@ class Accelerator {
   dana::Result<RunReport> Train(const storage::Table& table,
                                 storage::BufferPool* pool,
                                 const RunOptions& options) const;
+
+  /// Walks every page of `table` through the Strider program once,
+  /// straight from the table's page images: no buffer pool, no engine.
+  dana::Result<EpochWalk> Walk(const storage::Table& table) const;
+
+  /// The I/O-independent timing of one epoch over `walk` under `options`
+  /// (bandwidth scale, bypass mode, co-trained batch). Train charges every
+  /// epoch through this, so a walk plus the pool's I/O reproduces a
+  /// functional run's epoch timings exactly.
+  EpochTiming Time(const EpochWalk& walk, const RunOptions& options) const;
 
   const compiler::CompiledUdf& udf() const { return udf_; }
 

@@ -75,15 +75,37 @@ uint64_t WorkloadInstance::NormalizedPages(uint64_t shared_frames) const {
 
 namespace {
 
-/// Charges one full scan of the table through the pool and returns the
-/// accumulated I/O time (at generated scale).
-Result<dana::SimTime> ScanEpochIo(WorkloadInstance* instance) {
-  const dana::SimTime before = instance->pool()->stats().io_time;
+/// Charges one full scan of the table through `slot`'s pool and returns
+/// the accumulated I/O time (at generated scale).
+Result<dana::SimTime> ScanEpochIo(WorkloadInstance* instance,
+                                  uint32_t slot = 0) {
+  storage::BufferPool* pool = instance->pool(slot);
+  const dana::SimTime before = pool->stats().io_time;
   const storage::Table& table = instance->table();
   for (uint64_t p = 0; p < table.num_pages(); ++p) {
-    DANA_RETURN_NOT_OK(instance->pool()->FetchPage(table, p).status());
+    DANA_RETURN_NOT_OK(pool->FetchPage(table, p).status());
   }
-  return instance->pool()->stats().io_time - before;
+  return pool->stats().io_time - before;
+}
+
+/// A DAnA run's epoch budget, and the epochs it simulates: the budget, or
+/// at least two when the functional cap cuts it short.
+struct EpochPlan {
+  uint32_t budget;
+  uint32_t simulated;
+};
+
+EpochPlan PlanEpochs(const DanaSystem::Options& options,
+                     const ml::Workload& w) {
+  const uint32_t budget = options.run.max_epochs_override
+                              ? options.run.max_epochs_override
+                              : w.dana_epochs;
+  uint32_t simulated = budget;
+  if (options.functional_epoch_cap != 0 &&
+      budget > options.functional_epoch_cap) {
+    simulated = std::max<uint32_t>(2, options.functional_epoch_cap);
+  }
+  return {budget, simulated};
 }
 
 /// Trains the double-precision reference and fills model/loss.
@@ -198,44 +220,101 @@ Result<SystemResult> DanaSystem::Run(WorkloadInstance* instance,
   return RunCompiled(udf, instance, cache);
 }
 
+accel::RunOptions DanaSystem::PassOptions(const WorkloadInstance& instance,
+                                          uint32_t batch_queries,
+                                          uint32_t epochs,
+                                          bool functional) const {
+  accel::RunOptions run = options_.run;
+  if (functional && run.initial_models.empty()) {
+    const ml::Workload& w = instance.workload();
+    run.initial_models = {ml::InitialModel(w.kind, w.params)};
+  }
+  run.batch_queries = batch_queries;
+  run.max_epochs_override = epochs;
+  run.cpu_extract_per_tuple = cost_.cpu_extract_per_tuple;
+  return run;
+}
+
 Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
                                              WorkloadInstance* instance,
                                              CacheState cache,
                                              uint32_t batch_queries,
                                              uint32_t slot) const {
-  const ml::Workload& w = instance->workload();
-  SystemResult r;
-  r.system = "DAnA+PostgreSQL";
-  r.batch_queries = std::max<uint32_t>(batch_queries, 1);
-
+  const uint32_t batch = std::max<uint32_t>(batch_queries, 1);
+  const EpochPlan plan = PlanEpochs(options_, instance->workload());
   instance->PrepareCache(cache, slot);
-  accel::RunOptions run = options_.run;
-  if (run.initial_models.empty()) {
-    run.initial_models = {ml::InitialModel(w.kind, w.params)};
-  }
-  run.batch_queries = r.batch_queries;
-  const uint32_t budget =
-      run.max_epochs_override ? run.max_epochs_override : w.dana_epochs;
-  uint32_t run_epochs = budget;
-  if (options_.functional_epoch_cap != 0 &&
-      budget > options_.functional_epoch_cap) {
-    run_epochs = std::max<uint32_t>(2, options_.functional_epoch_cap);
-  }
-  run.max_epochs_override = run_epochs;
-  run.cpu_extract_per_tuple = cost_.cpu_extract_per_tuple;
-
   accel::Accelerator accelerator(udf);
   DANA_ASSIGN_OR_RETURN(
       accel::RunReport report,
-      accelerator.Train(instance->table(), instance->pool(slot), run));
+      accelerator.Train(instance->table(), instance->pool(slot),
+                        PassOptions(*instance, batch, plan.simulated,
+                                    /*functional=*/true)));
+  SystemResult r = Summarize(report, plan.simulated, plan.budget, batch,
+                             *instance);
+  const ml::Workload& w = instance->workload();
+  r.model.assign(report.final_models[0].begin(),
+                 report.final_models[0].end());
+  ml::ReferenceTrainer trainer(w.kind, w.params);
+  r.loss = trainer.Loss(instance->dataset(), r.model);
+  return r;
+}
 
+Result<EpochTrace> DanaSystem::TraceRun(const compiler::CompiledUdf& udf,
+                                        WorkloadInstance* instance,
+                                        uint32_t batch_queries,
+                                        uint32_t slot) const {
+  const uint32_t batch = std::max<uint32_t>(batch_queries, 1);
+  const EpochPlan plan = PlanEpochs(options_, instance->workload());
+  const bool converging = udf.program.has_convergence;
+  const accel::RunOptions run =
+      PassOptions(*instance, batch, plan.simulated, converging);
+  accel::Accelerator accelerator(udf);
+  DANA_ASSIGN_OR_RETURN(accel::EpochWalk walk,
+                        accelerator.Walk(instance->table()));
+  EpochTrace trace;
+  trace.timing = accelerator.Time(walk, run);
+  trace.budget = plan.budget;
+  trace.simulated_epochs = plan.simulated;
+  if (converging) {
+    // Only the model decides when a converging program stops.
+    DANA_ASSIGN_OR_RETURN(
+        accel::RunReport report,
+        accelerator.Train(instance->table(), instance->pool(slot), run));
+    trace.simulated_epochs = report.epochs_run;
+    trace.converged = report.converged;
+  }
+  return trace;
+}
+
+Result<SystemResult> DanaSystem::PriceTrace(const EpochTrace& trace,
+                                            WorkloadInstance* instance,
+                                            CacheState cache,
+                                            uint32_t slot) const {
+  instance->PrepareCache(cache, slot);
+  accel::RunReport report;
+  for (uint32_t e = 0; e < trace.simulated_epochs; ++e) {
+    DANA_ASSIGN_OR_RETURN(dana::SimTime io, ScanEpochIo(instance, slot));
+    report.AddEpoch(trace.timing, io);
+  }
+  report.converged = trace.converged;
+  return Summarize(report, trace.simulated_epochs, trace.budget,
+                   trace.timing.batch_queries, *instance);
+}
+
+SystemResult DanaSystem::Summarize(const accel::RunReport& report,
+                                   uint32_t simulated, uint32_t budget,
+                                   uint32_t batch_queries,
+                                   const WorkloadInstance& instance) const {
+  SystemResult r;
+  r.system = "DAnA+PostgreSQL";
+  r.batch_queries = batch_queries;
   dana::SimTime wall = report.total_time;
   dana::SimTime io = report.io_time;
   dana::SimTime fpga = report.fpga_time;
   dana::SimTime shared = report.shared_time;
   dana::SimTime per_query = report.per_query_time;
   r.epochs = report.epochs_run;
-  if (report.epochs_run == run_epochs && run_epochs < budget &&
+  if (report.epochs_run == simulated && simulated < budget &&
       !report.converged) {
     // Extrapolate: first epoch (cold I/O) + steady state for the rest.
     const accel::EpochBreakdown& first = report.epochs.front();
@@ -252,33 +331,27 @@ Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
   // epoch carries the cold transient, the last measured epoch is the steady
   // state every remaining epoch repeats (the same two points the
   // extrapolation above uses).
+  const double scale = instance.scale();
   if (!report.epochs.empty()) {
     const accel::EpochBreakdown& first = report.epochs.front();
     const accel::EpochBreakdown& steady = report.epochs.back();
-    r.first_epoch = {first.wall * instance->scale(),
-                     first.shared * instance->scale(),
-                     first.per_query * instance->scale()};
-    r.steady_epoch = {steady.wall * instance->scale(),
-                      steady.shared * instance->scale(),
-                      steady.per_query * instance->scale()};
+    r.first_epoch = {first.wall * scale, first.shared * scale,
+                     first.per_query * scale};
+    r.steady_epoch = {steady.wall * scale, steady.shared * scale,
+                      steady.per_query * scale};
     r.query_overhead = cost_.pg_query_overhead + cost_.dana_query_overhead;
     r.epoch_overhead = cost_.dana_epoch_overhead;
   }
-  r.io = io * instance->scale();
-  r.compute = fpga * instance->scale();
+  r.io = io * scale;
+  r.compute = fpga * scale;
   // Fixed (unscaled) costs: query startup plus per-epoch orchestration.
   // A batched pass is one physical execution, so overheads are paid once
   // for the whole batch (and attributed to the shared side).
   r.overhead = cost_.pg_query_overhead + cost_.dana_query_overhead +
                cost_.dana_epoch_overhead * static_cast<double>(r.epochs);
-  r.total = r.overhead + wall * instance->scale();
-  r.shared_time = r.overhead + shared * instance->scale();
-  r.per_query_time = per_query * instance->scale();
-
-  r.model.assign(report.final_models[0].begin(),
-                 report.final_models[0].end());
-  ml::ReferenceTrainer trainer(w.kind, w.params);
-  r.loss = trainer.Loss(instance->dataset(), r.model);
+  r.total = r.overhead + wall * scale;
+  r.shared_time = r.overhead + shared * scale;
+  r.per_query_time = per_query * scale;
   return r;
 }
 

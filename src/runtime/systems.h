@@ -152,8 +152,24 @@ class MadlibGreenplum {
   uint32_t segments_;
 };
 
+/// The I/O-independent half of a DAnA run over one table: the FPGA-side
+/// timing every simulated epoch repeats, and how many epochs the run
+/// simulates and charges. The buffer pool only adds I/O (§7.1), so one
+/// trace prices the run at every cache state (DanaSystem::PriceTrace).
+struct EpochTrace {
+  accel::EpochTiming timing;
+  /// Epochs a functional run simulates: the budget, or the functional
+  /// epoch cap, or fewer when the program converges first. PriceTrace
+  /// replays one pool sweep per simulated epoch.
+  uint32_t simulated_epochs = 0;
+  uint32_t budget = 0;  ///< the run's epoch budget
+  bool converged = false;
+};
+
 /// DAnA+PostgreSQL: compiles the workload's UDF and runs the accelerator
-/// simulator end to end.
+/// simulator end to end. RunCompiled trains functionally (model and loss
+/// included); TraceRun + PriceTrace give the same timing without a model,
+/// one trace serving every cache state.
 class DanaSystem {
  public:
   struct Options {
@@ -161,9 +177,11 @@ class DanaSystem {
     compiler::HardwareGenerator::Options hw;
     accel::RunOptions run;
     /// When nonzero and the workload assumes more epochs than this, run
-    /// only this many functional epochs and extrapolate the (count-linear)
-    /// timing to the full epoch budget. The benchmark harness uses 2 (the
-    /// first epoch captures cold-cache I/O, the second the steady state).
+    /// only this many functional epochs (at least 2) and extrapolate the
+    /// (count-linear) timing to the full epoch budget. The benchmark
+    /// harness and the scheduler's executor use 2 (the first epoch
+    /// captures cold-cache I/O, the second the steady state); TraceRun and
+    /// PriceTrace simulate, and sweep, the same epochs.
     uint32_t functional_epoch_cap = 0;
   };
 
@@ -191,10 +209,45 @@ class DanaSystem {
                                          uint32_t batch_queries = 1,
                                          uint32_t slot = 0) const;
 
+  /// The run RunCompiled would simulate, without its model: one Strider
+  /// walk of the table gives every epoch's FPGA-side timing. Only a
+  /// program that can stop early (ScalarProgram::has_convergence) is
+  /// trained functionally, on `slot`'s pool, to find its epoch count;
+  /// otherwise the run takes its whole budget and nothing depends on the
+  /// model.
+  dana::Result<EpochTrace> TraceRun(const compiler::CompiledUdf& udf,
+                                    WorkloadInstance* instance,
+                                    uint32_t batch_queries = 1,
+                                    uint32_t slot = 0) const;
+
+  /// RunCompiled's timing at `cache` from a trace: prepares `slot`'s pool
+  /// to that state and replays one FetchPage sweep of the table per
+  /// simulated epoch for the epoch's I/O. Every timing field equals
+  /// RunCompiled's bit for bit (for whole runs: options().run's segment
+  /// fields, epoch_limit and epochs_completed, are not traced); `model`
+  /// stays empty and `loss` 0.
+  dana::Result<SystemResult> PriceTrace(const EpochTrace& trace,
+                                        WorkloadInstance* instance,
+                                        CacheState cache,
+                                        uint32_t slot = 0) const;
+
   const Options& options() const { return options_; }
   Options* mutable_options() { return &options_; }
 
  private:
+  /// Run options of a pass co-training `batch_queries` models for at most
+  /// `epochs` epochs. A `functional` pass starts from the workload's
+  /// initial model unless options().run supplies one.
+  accel::RunOptions PassOptions(const WorkloadInstance& instance,
+                                uint32_t batch_queries, uint32_t epochs,
+                                bool functional) const;
+  /// The result's timing fields from a run's `simulated` epochs,
+  /// extrapolated to `budget` epochs when the run stopped at the
+  /// functional cap.
+  SystemResult Summarize(const accel::RunReport& report, uint32_t simulated,
+                         uint32_t budget, uint32_t batch_queries,
+                         const WorkloadInstance& instance) const;
+
   CpuCostModel cost_;
   Options options_;
 };

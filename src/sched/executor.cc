@@ -378,14 +378,14 @@ DanaQueryExecutor::MeasureEndpoint(const QueryBatch& batch,
                                    runtime::CacheState cache) {
   const auto key = std::make_tuple(batch.workload_id, batch.size(),
                                    static_cast<uint8_t>(cache));
-  // Fill-once/wait: a cold key elects exactly one caller to run the
-  // measurement while concurrent requesters block for the result, so N
+  // Fill-once/wait: a cold key elects exactly one caller to derive the
+  // endpoint while concurrent requesters block for the result, so N
   // threads hitting the same cold (workload, batch, endpoint) never
-  // duplicate a simulator run.
+  // duplicate the work.
   return measured_.GetOrFill(key, [&]() -> Result<EpochProfile> {
-    // Serialize the actual simulator runs across *different* keys too:
-    // WorkloadInstance execution contexts grow per-slot pools lazily and
-    // DanaSystem::RunCompiled is not re-entrant. Once-per-key, memoized.
+    // Serialize the derivations across *different* keys too: they prepare
+    // and sweep the instance's per-slot pools, which grow lazily.
+    // Once-per-key, memoized.
     dana::MutexLock lock(measure_mu_);
     DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance,
                           Instance(batch.workload_id));
@@ -393,13 +393,21 @@ DanaQueryExecutor::MeasureEndpoint(const QueryBatch& batch,
         const compiler::CompiledUdf* udf,
         compile_cache_.GetOrCompile(
             batch.workload_id, [&] { return system_.Compile(*instance); }));
-    // Measure the batched pass once on this slot's execution context (its
-    // private pool, created lazily by the instance's pool group); identical
-    // batches on other slots prepare their pools to the same cache state
-    // and therefore take identical time.
+    // The FPGA side of the run is the same at every cache state: trace it
+    // once per (workload, batch size), then price this endpoint by
+    // replaying the run's pool sweeps on this slot's execution context
+    // (its private pool; identical batches on other slots prepare their
+    // pools to the same cache state and therefore take identical time).
+    DANA_ASSIGN_OR_RETURN(
+        const runtime::EpochTrace* trace,
+        traces_.GetOrFill(std::make_pair(batch.workload_id, batch.size()),
+                          [&]() -> Result<runtime::EpochTrace> {
+                            return system_.TraceRun(*udf, instance,
+                                                    batch.size(), batch.slot);
+                          }));
     DANA_ASSIGN_OR_RETURN(
         runtime::SystemResult result,
-        system_.RunCompiled(*udf, instance, cache, batch.size(), batch.slot));
+        system_.PriceTrace(*trace, instance, cache, batch.slot));
     obs::Count(options_.metrics, "exec.endpoint_measurements");
     EpochProfile p;
     p.compile = options_.compile_latency;

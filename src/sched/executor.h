@@ -221,18 +221,22 @@ class QueryExecutor {
 /// Executor backed by the DAnA cycle-level simulator over the Table 3
 /// workload suite.
 ///
-/// Service times are measured by actually compiling and training through
+/// Service times come from the cycle-level simulator through
 /// `runtime::DanaSystem` (so the scheduler multiplexes real simulated
-/// accelerator runs, not analytical guesses), then memoized per
-/// (workload, batch size, cache endpoint) as an *epoch profile*: the first
-/// epoch carries the cold-I/O transient, every later epoch repeats the
-/// steady state, and fixed query/epoch overheads sit on top. Full-run and
-/// sliced costs both derive from one cumulative cost curve over that
-/// profile, so any split of a run into epoch slices telescopes to exactly
-/// the unsegmented service. Compiled designs live in a CompileCache so
-/// `compiler::Compile` runs once per algorithm no matter how many queries
-/// reference it. Each slot trains against its own buffer pool from the
-/// instance's pool group (per-slot execution contexts).
+/// accelerator runs, not analytical guesses): each (workload, batch size)
+/// is compiled and its run traced once — one Strider walk of the table
+/// gives the FPGA-side epoch timing, identical at every cache state — and
+/// each cache endpoint replays the run's buffer-pool sweeps for its I/O.
+/// Endpoints are memoized per (workload, batch size, cache endpoint) as an
+/// *epoch profile*: the first epoch carries the cold-I/O transient, every
+/// later epoch repeats the steady state, and fixed query/epoch overheads
+/// sit on top. Full-run and sliced costs both derive from one cumulative
+/// cost curve over that profile, so any split of a run into epoch slices
+/// telescopes to exactly the unsegmented service. Compiled designs live in
+/// a CompileCache so `compiler::Compile` runs once per algorithm no matter
+/// how many queries reference it. Each slot's endpoints are priced on its
+/// own buffer pool from the instance's pool group (per-slot execution
+/// contexts).
 ///
 /// Cache realism: by default the executor keeps one *physical* shared
 /// storage::BufferPool per slot (sized in frames, shared across that
@@ -302,8 +306,10 @@ class DanaQueryExecutor : public QueryExecutor {
     /// Buffer-pool state every query trains under when `model_residency`
     /// is false (the legacy fixed-cache regime).
     runtime::CacheState cache = runtime::CacheState::kWarm;
-    /// Functional epochs actually simulated before linear extrapolation
-    /// (see DanaSystem::Options); 2 captures cold I/O + steady state.
+    /// Epochs an endpoint simulates before linear extrapolation (see
+    /// DanaSystem::Options): each replays one pool sweep for its I/O, and
+    /// a converging program trains that many epochs functionally to find
+    /// where it stops. 2 captures cold I/O + steady state.
     uint32_t functional_epoch_cap = 2;
     /// Skip the physical pool sweep of a slice whose slot is provably
     /// undisturbed since this execution's previous slice (same slot, pool
@@ -316,14 +322,16 @@ class DanaQueryExecutor : public QueryExecutor {
     bool memoize_slices = true;
     /// Telemetry sink (not owned; null = off). Begin() counts each
     /// dispatch's pricing regime (exec.charges.cold/warm/partial) and
-    /// MeasureEndpoint counts actual simulator runs
-    /// (exec.endpoint_measurements); PublishGauges() snapshots the compile
-    /// cache and slot pools into the same registry on demand.
+    /// MeasureEndpoint counts one exec.endpoint_measurements per derived
+    /// (workload, batch size, cache endpoint) profile, memo hits excluded;
+    /// PublishGauges() snapshots the compile cache and slot pools into the
+    /// same registry on demand.
     obs::MetricRegistry* metrics = nullptr;
   };
 
   /// Per-epoch cost profile of one (workload, batch size) at one cache
-  /// endpoint, measured once through the cycle-level simulator. A run of
+  /// endpoint, derived once through the cycle-level simulator (a traced
+  /// run plus that endpoint's pool sweeps). A run of
   /// e >= 1 epochs costs
   ///   query_overhead + epoch_overhead * e + first_wall
   ///     + steady_wall * (e - 1)
@@ -347,6 +355,14 @@ class DanaQueryExecutor : public QueryExecutor {
                                                double warm_fraction) override;
   double WarmFraction(const std::string& workload_id, uint32_t slot) override;
   void PrepareSlots(uint32_t slots) override { slot_pools_.Resize(slots); }
+
+  /// The epoch profile of `batch` at a cache endpoint, derived once and
+  /// memoized: the (workload, batch size) run is traced once
+  /// (runtime::DanaSystem::TraceRun) and each endpoint replays that run's
+  /// pool sweeps on the batch's slot (DanaSystem::PriceTrace). Every
+  /// derivation counts one exec.endpoint_measurements.
+  dana::Result<const EpochProfile*> MeasureEndpoint(const QueryBatch& batch,
+                                                    runtime::CacheState cache);
 
   const CompileCache& compile_cache() const { return compile_cache_; }
   /// Slot `slot`'s shared physical residency pool (created on demand) —
@@ -400,9 +416,6 @@ class DanaQueryExecutor : public QueryExecutor {
   /// no lock.
   double OsTierShare(const storage::BufferPool& pool, const std::string& id,
                      uint64_t pages, double pool_warm) const;
-  /// Measured (or memoized) epoch profile at a cache endpoint.
-  dana::Result<const EpochProfile*> MeasureEndpoint(const QueryBatch& batch,
-                                                    runtime::CacheState cache);
   /// Profile charged at `warm_fraction` pool residency plus
   /// `os_fraction` OS-tier residency: one measured endpoint when fully
   /// warm/cold, otherwise the linear mix of the pool-warm, os-warm, and
@@ -423,13 +436,19 @@ class DanaQueryExecutor : public QueryExecutor {
   storage::BufferPoolGroup slot_pools_;
   std::map<std::string, std::unique_ptr<runtime::WorkloadInstance>> instances_
       GUARDED_BY(state_mu_);
-  /// Measured epoch profiles, keyed by (workload, batch size, cache
-  /// endpoint). The cold table-load path: measuring an endpoint actually
-  /// runs the cycle-level simulator, so concurrent callers asking for the
-  /// same cold key share one fill (fill-once/wait) and never duplicate a
-  /// run.
+  /// Derived epoch profiles, keyed by (workload, batch size, cache
+  /// endpoint). The cold table-load path: deriving an endpoint sweeps the
+  /// instance pool once per simulated epoch, so concurrent callers asking
+  /// for the same cold key share one fill (fill-once/wait) and never
+  /// duplicate it.
   dana::FillOnceMap<std::tuple<std::string, uint32_t, uint8_t>, EpochProfile>
       measured_;
+  /// The I/O-independent run traces the endpoints derive from, keyed by
+  /// (workload, batch size): one Strider walk each (plus a functional run
+  /// for a program that can converge), shared by the cold, warm and
+  /// os-warm endpoints. Fill-once like measured_.
+  dana::FillOnceMap<std::pair<std::string, uint32_t>, runtime::EpochTrace>
+      traces_;
   /// Registry lookups memoized per name: ml::FindWorkload is a linear scan
   /// with string compares, and Estimate/EstimateAtWarmth run once per
   /// queued candidate per dispatch under affinity SJF. Values are pointers
@@ -440,10 +459,11 @@ class DanaQueryExecutor : public QueryExecutor {
   /// workload_cache_. Per-slot pool state needs no lock — slot i's pool is touched only by the thread
   /// that owns slot i (BufferPoolGroup's contract).
   mutable dana::Mutex state_mu_;
-  /// Serializes actual simulator measurement runs (MeasureEndpoint fills):
-  /// WorkloadInstance execution contexts grow per-slot pools on demand and
-  /// DanaSystem::RunCompiled is not re-entrant. Fills are once-per-key and
-  /// memoized, so the serialization never sits on a steady-state path.
+  /// Serializes endpoint derivations (MeasureEndpoint fills, and the trace
+  /// fills nested in them): WorkloadInstance execution contexts grow
+  /// per-slot pools on demand, and TraceRun/PriceTrace prepare and sweep
+  /// them. Fills are once-per-key and memoized, so the serialization never
+  /// sits on a steady-state path.
   /// Ordered before state_mu_ (the filler takes state_mu_ through
   /// Instance); no path nests them the other way.
   dana::Mutex measure_mu_ ACQUIRED_BEFORE(state_mu_);

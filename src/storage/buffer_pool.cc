@@ -149,7 +149,7 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
           disk_.request_latency /
               static_cast<double>(disk_.readahead_pages);
       if (os_cached_.size() < os_cache_pages_) {
-        os_cached_.Set(key, 0);
+        AdmitOsCached(key);
         ++version_;
       }
     }
@@ -307,7 +307,10 @@ void BufferPool::MarkOsCached(const Table& table) {
   if (eviction_ == EvictionKind::kClock) {
     for (uint64_t p = 0; p < table.num_pages(); ++p) {
       if (os_cached_.size() >= os_cache_pages_) break;
-      if (os_cached_.Set(Key{tid, p}, 0)) changed = true;
+      const Key key{tid, p};
+      if (os_cached_.Contains(key)) continue;
+      AdmitOsCached(key);
+      changed = true;
     }
   } else if (os_tier_.enabled()) {
     for (uint64_t p = 0; p < table.num_pages(); ++p) {
@@ -343,9 +346,20 @@ double BufferPool::ResidentFraction(const Table& table) const {
          static_cast<double>(table.num_pages());
 }
 
+void BufferPool::AdmitOsCached(const Key& key) {
+  os_cached_.Set(key, os_cached_keys_.size());
+  os_cached_keys_.push_back(key);
+}
+
 void BufferPool::Clear() {
-  index_.Clear();
-  os_cached_.Clear();
+  // Every frame below the fill cursor is resident (an evicted frame is
+  // reinstalled at once), so the frames are the pool index's slot records.
+  index_.Clear(fill_cursor_, [this](size_t slot) {
+    return Key{frames_[slot].table_id, frames_[slot].page_no};
+  });
+  os_cached_.Clear(os_cached_keys_.size(),
+                   [this](size_t slot) { return os_cached_keys_[slot]; });
+  os_cached_keys_.clear();
   os_tier_.Clear();
   ssd_tier_.Clear();
   fill_cursor_ = 0;

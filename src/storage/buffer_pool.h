@@ -301,6 +301,9 @@ class BufferPool {
   /// victim into the SSD tier (lru/promotional only).
   void DemoteToOs(const Key& key);
 
+  /// Clock mode: adds an absent `key` to the legacy OS page-cache set.
+  void AdmitOsCached(const Key& key);
+
   uint32_t page_size_;
   DiskModel disk_;
   EvictionKind eviction_ = EvictionKind::kClock;
@@ -319,13 +322,18 @@ class BufferPool {
   uint32_t last_table_id_ = dana::Interner::kInvalidId;
   uint64_t version_ = 0;
   /// Clock mode only: the legacy admit-until-full OS page-cache set
-  /// (bit-compatible with the seed pools); presence only, slot unused.
+  /// (bit-compatible with the seed pools). It never evicts, so its slots
+  /// are admission order and `os_cached_keys_` records them for Clear.
   PageIndex os_cached_;
   uint64_t os_cache_pages_ = UINT64_MAX;
   /// lru/promotional: the evicting OS and SSD tiers (exclusive of the
   /// pool; disabled tiers have capacity 0).
   PageTier os_tier_;
   PageTier ssd_tier_;
+  /// Clock mode only: `os_cached_`'s slot -> page records, in admission
+  /// order. Only admission and Clear touch it, so it sits after the
+  /// touch-path state.
+  std::vector<Key> os_cached_keys_;
 };
 
 /// A set of identically-sized buffer pools, one per accelerator slot.

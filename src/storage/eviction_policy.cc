@@ -143,7 +143,8 @@ bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
 
 void PageTier::Clear() {
   if (!enabled()) return;
-  index_.Clear();
+  index_.Clear(slot_keys_.size(),
+               [this](size_t slot) { return slot_keys_[slot]; });
   free_slots_.clear();
   for (size_t i = slot_keys_.size(); i > 0; --i) free_slots_.push_back(i - 1);
   switch (kind_) {

@@ -225,8 +225,8 @@ struct PageKey {
 /// (0 = absent): a lookup is two array loads, never a hash, and Set/Erase
 /// never allocate once a row has grown past the page. The index also keeps
 /// the number of pages it holds, in total and per table, so a tier's
-/// occupancy reads are O(1). Clear() zeroes the rows in place; ids and row
-/// capacity survive it.
+/// occupancy reads are O(1). Clear() erases through the owner's slot -> key
+/// records; ids and row capacity survive it.
 ///
 /// A row costs 4 bytes per page number up to the highest one set (page
 /// 1,000,000 of a table alone makes a 4 MB row), so page numbers must be
@@ -282,13 +282,19 @@ class PageIndex {
     return table_id < rows_.size() ? rows_[table_id].count : 0;
   }
 
-  void Clear() {
-    for (Row& row : rows_) {
-      if (row.count == 0) continue;
-      std::fill(row.slots.begin(), row.slots.end(), 0);
-      row.count = 0;
+  /// Empties the index through its owner's slot -> key records: for each
+  /// slot in [0, slots), erases `key_of(slot)` if the index maps that key
+  /// to that slot (a record left stale by an Erase or a remap is skipped).
+  /// The records must cover every page held. Costs O(slots), not the
+  /// rows' extent: zeroing rows in place would make one sparse high page
+  /// a multi-MB fill on every Clear.
+  template <typename KeyOf>
+  void Clear(size_t slots, const KeyOf& key_of) {
+    for (size_t slot = 0; slot < slots && size_ != 0; ++slot) {
+      const PageKey key = key_of(slot);
+      if (Find(key) == slot) Erase(key);
     }
-    size_ = 0;
+    DANA_CHECK(size_ == 0) << size_ << " pages missing from the slot records";
   }
 
  private:
@@ -366,6 +372,7 @@ class PageTier {
   std::unique_ptr<LruEvictionPolicy> lru_;
   std::unique_ptr<PromotionalEvictionPolicy> promotional_;
   PageIndex index_;
+  /// Slot -> the page it last held (stale once the page leaves the slot).
   std::vector<PageKey> slot_keys_;
   std::vector<size_t> free_slots_;
   uint64_t evictions_ = 0;

@@ -314,7 +314,14 @@ TEST(PageIndexTest, SetFindEraseKeepCounts) {
   EXPECT_EQ(index.Erase({2, 1000000}), 9u);
   EXPECT_EQ(index.Erase({2, 1000000}), PageIndex::kAbsent);
   EXPECT_EQ(index.size(2), 1u);
-  index.Clear();
+  // Clear erases through slot -> key records, as a tier keeps them: slot 0
+  // is live, slots 7 and 9 are stale (remapped, then erased) and skipped.
+  std::vector<PageKey> slot_keys(10, PageKey{0, 0});
+  slot_keys[0] = {2, 3};
+  slot_keys[7] = {2, 1000000};
+  slot_keys[9] = {2, 1000000};
+  index.Clear(slot_keys.size(),
+              [&](size_t slot) { return slot_keys[slot]; });
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.size(2), 0u);
   EXPECT_FALSE(index.Contains({2, 3}));

@@ -18,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "ml/workloads.h"
 #include "runtime/systems.h"
@@ -31,14 +33,28 @@
 namespace dana::sched {
 namespace {
 
+/// `id`'s workload instance, built once per test binary: dataset
+/// generation is the slow part of building one, and the tests only read
+/// its table's paper-scale ratio and normalized footprint.
+const runtime::WorkloadInstance& SharedInstance(const std::string& id) {
+  static auto* instances =
+      new std::map<std::string, std::unique_ptr<runtime::WorkloadInstance>>();
+  auto it = instances->find(id);
+  if (it == instances->end()) {
+    const ml::Workload* w = ml::FindWorkload(id);
+    DANA_CHECK(w != nullptr) << "unknown workload " << id;
+    it = instances
+             ->emplace(id, std::move(runtime::WorkloadInstance::Create(*w))
+                               .ValueOrDie())
+             .first;
+  }
+  return *it->second;
+}
+
 /// Paper-scale pool ratio of a workload: table bytes over the paper's 8 GB
 /// shared_buffers — what NormalizedPages must preserve in a shared pool.
 double PaperRatio(const std::string& id) {
-  const ml::Workload* w = ml::FindWorkload(id);
-  EXPECT_NE(w, nullptr) << id;
-  auto instance = runtime::WorkloadInstance::Create(*w);
-  EXPECT_TRUE(instance.ok());
-  return (*instance)->PoolSizeRatio();
+  return SharedInstance(id).PoolSizeRatio();
 }
 
 TEST(NormalizedPagesTest, PreservesPaperRatiosScaleFree) {
@@ -56,24 +72,16 @@ TEST(NormalizedPagesTest, PreservesPaperRatiosScaleFree) {
   EXPECT_LT(lrmf_big, 1.0);
   // NormalizedPages is the ratio times the shared frame count, floored at
   // one page, at any resolution.
-  const ml::Workload* w = ml::FindWorkload("sn_linear");
-  ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
-  ASSERT_TRUE(instance.ok());
+  const runtime::WorkloadInstance& instance = SharedInstance("sn_linear");
   for (uint64_t frames : {64ull, 4096ull, 65536ull}) {
-    const uint64_t pages = (*instance)->NormalizedPages(frames);
+    const uint64_t pages = instance.NormalizedPages(frames);
     EXPECT_NEAR(static_cast<double>(pages),
-                (*instance)->PoolSizeRatio() * static_cast<double>(frames),
-                1.0)
+                instance.PoolSizeRatio() * static_cast<double>(frames), 1.0)
         << frames;
     EXPECT_GE(pages, 1u);
   }
   // A tiny workload still occupies at least one frame.
-  const ml::Workload* tiny = ml::FindWorkload("wlan");
-  ASSERT_NE(tiny, nullptr);
-  auto tiny_instance = runtime::WorkloadInstance::Create(*tiny);
-  ASSERT_TRUE(tiny_instance.ok());
-  EXPECT_GE((*tiny_instance)->NormalizedPages(64), 1u);
+  EXPECT_GE(SharedInstance("wlan").NormalizedPages(64), 1u);
 }
 
 TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
@@ -85,11 +93,7 @@ TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
   EXPECT_TRUE(cold->residency_modeled);
   // The run's sweep is physically visible: the workload's normalized
   // footprint resident, the pool's last_table names it.
-  const ml::Workload* w = ml::FindWorkload("wlan");
-  ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
-  ASSERT_TRUE(instance.ok());
-  const uint64_t pages = (*instance)->NormalizedPages(4096);
+  const uint64_t pages = SharedInstance("wlan").NormalizedPages(4096);
   storage::BufferPool* pool = executor.slot_pool(0);
   EXPECT_EQ(pool->resident_frames("wlan"), pages);
   EXPECT_EQ(pool->last_table(), "wlan");
@@ -136,12 +140,10 @@ TEST(CoLocationTest, ChargesFollowClockHandEvictionOrder) {
   storage::BufferPool replay =
       storage::BufferPool::SizedInFrames(4096, 32 * 1024, storage::DiskModel{});
   for (const char* id : kCoLocated) {
-    const ml::Workload* w = ml::FindWorkload(id);
-    ASSERT_NE(w, nullptr) << id;
-    auto instance = runtime::WorkloadInstance::Create(*w);
-    ASSERT_TRUE(instance.ok()) << id;
-    const uint64_t pages = (*instance)->NormalizedPages(4096);
-    for (uint32_t pass = 0; pass < std::min<uint32_t>(w->params.epochs, 2);
+    const runtime::WorkloadInstance& instance = SharedInstance(id);
+    const uint64_t pages = instance.NormalizedPages(4096);
+    for (uint32_t pass = 0;
+         pass < std::min<uint32_t>(instance.workload().params.epochs, 2);
          ++pass) {
       replay.ScanTable(id, pages);
     }
@@ -224,11 +226,11 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   const ml::Workload* big_w = ml::FindWorkload("se_logistic");
   ASSERT_NE(small_w, nullptr);
   ASSERT_NE(big_w, nullptr);
-  auto big_instance = runtime::WorkloadInstance::Create(*big_w);
-  ASSERT_TRUE(big_instance.ok());
+  const runtime::WorkloadInstance& big_instance =
+      SharedInstance("se_logistic");
   // Fixture preconditions: the big table overflows the pool and its run
   // spans enough epochs that the second sweep actually happens.
-  ASSERT_GT((*big_instance)->PoolSizeRatio(), 1.0);
+  ASSERT_GT(big_instance.PoolSizeRatio(), 1.0);
   ASSERT_GE(big_w->params.epochs, 2u);
   ASSERT_EQ(small_w->params.epochs, 1u);
 
@@ -240,10 +242,9 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   // Replay the charged sweep sequence on a bare pool of the executor's
   // exact geometry: one pass of the small table (one epoch, one sweep),
   // two of the oversized one.
-  auto small_instance = runtime::WorkloadInstance::Create(*small_w);
-  ASSERT_TRUE(small_instance.ok());
-  const uint64_t small_pages = (*small_instance)->NormalizedPages(4096);
-  const uint64_t big_pages = (*big_instance)->NormalizedPages(4096);
+  const uint64_t small_pages =
+      SharedInstance("sn_lrmf").NormalizedPages(4096);
+  const uint64_t big_pages = big_instance.NormalizedPages(4096);
   ASSERT_GT(big_pages, 4096u);
 
   storage::BufferPool two_pass =
@@ -278,17 +279,14 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
 /// complete no-op (pure hits, no installs), so multi-epoch runs charge
 /// exactly what single-epoch runs always did.
 TEST(MultiEpochSliceTest, FittingTableSecondSweepIsANoOp) {
-  const ml::Workload* w = ml::FindWorkload("sn_linear");
-  ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
-  ASSERT_TRUE(instance.ok());
-  ASSERT_LT((*instance)->PoolSizeRatio(), 1.0);
-  ASSERT_GE(w->params.epochs, 2u);
+  const runtime::WorkloadInstance& instance = SharedInstance("sn_linear");
+  ASSERT_LT(instance.PoolSizeRatio(), 1.0);
+  ASSERT_GE(instance.workload().params.epochs, 2u);
 
   DanaQueryExecutor executor;
   ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("sn_linear", 0, 0)).ok());
   const storage::BufferPool* pool = executor.slot_pool(0);
-  const uint64_t pages = (*instance)->NormalizedPages(4096);
+  const uint64_t pages = instance.NormalizedPages(4096);
 
   storage::BufferPool one_pass =
       storage::BufferPool::SizedInFrames(4096, 32 * 1024, storage::DiskModel{});
