@@ -174,12 +174,12 @@ class DanaBatchExecution : public BatchExecution {
       // holds what it would hold after, with its reference bit already set
       // — so the O(pages) walk is skipped. Only the pool's hit/miss
       // counters and last_table() diverge from the unskipped run; nothing
-      // the scheduler or pricing reads does. A table larger than the pool
-      // is never fully resident and always re-sweeps (the repeat walk
+      // the scheduler or pricing reads does (sched_perf pins schedules to
+      // digests recorded with every sweep run). A table larger than the
+      // pool is never fully resident and always re-sweeps (the repeat walk
       // moves the clock hand).
       const bool undisturbed =
-          owner_->options_.memoize_slices && swept_pool_ == pool &&
-          pool->version() == swept_version_ &&
+          swept_pool_ == pool && pool->version() == swept_version_ &&
           pool->resident_frames(tid) == norm_pages_;
       if (undisturbed) {
         last_left_ = 1.0;  // fully resident, by the guard above

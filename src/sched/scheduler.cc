@@ -199,30 +199,22 @@ Scheduler::Scheduler(SchedulerOptions options, QueryExecutor* executor)
 namespace {
 
 /// Pending queue with the policy-specific pick. Entries are indices into
-/// the request vector, kept in admission order. The request vector (and
-/// the parallel interned-id vector) may grow while the queue is live
-/// (closed-loop mode); entries are indices, never pointers, so growth is
-/// safe.
+/// the request vector. The request vector (and the parallel interned-id
+/// vector) may grow while the queue is live (closed-loop mode); entries are
+/// indices, never pointers, so growth is safe.
 ///
-/// Two interchangeable implementations produce identical pick sequences:
-///
-/// - Indexed (SchedulerOptions::indexed_queues, the default): an intrusive
-///   doubly-linked list over request indices keeps admission order (O(1)
-///   push/unlink, O(1) FCFS head), per-algorithm FIFO deques serve
-///   round-robin candidates and batch coalescing with integer id compares,
-///   and pure SJF keeps a multiset ordered by (estimate, request index) —
-///   O(log n) extraction. The multiset key is exact, not approximate: the
-///   reference scan compares raw SimTime estimates with strict less-than
-///   and takes the first minimum in admission order, and admission order
-///   equals request-index order (pushes arrive in index order; Restore
-///   re-inserts at the index position), so min-(estimate, index) is the
-///   same element. Aged and affinity SJF stay linear scans in both modes:
-///   their effective estimate mixes in per-candidate float subtraction
-///   whose rounding an ordered key cannot reproduce bit-for-bit.
-///
-/// - Reference (indexed_queues = false): the historical vector with O(n)
-///   scan-and-erase, kept as the equivalence oracle for the sched_perf
-///   suite.
+/// An intrusive doubly-linked list over request indices keeps admission
+/// order (O(1) push/unlink, O(1) FCFS head), per-algorithm FIFO deques
+/// serve round-robin candidates and batch coalescing with integer id
+/// compares, and pure SJF keeps a multiset ordered by (estimate, request
+/// index) for O(log n) extraction. Admission order equals request-index
+/// order (pushes arrive in index order; Restore re-inserts at the index
+/// position), so the multiset's minimum is the first strict minimum of an
+/// admission-order scan. Aged and affinity SJF scan the list: their
+/// effective estimate mixes in per-candidate float subtraction whose
+/// rounding an ordered key cannot reproduce bit-for-bit. The sched_perf
+/// suite pins every pick to digests recorded from the linear-scan queue
+/// this replaced.
 class PendingQueue {
  public:
   /// `warmth(workload)`, when set, is the best residency any currently-free
@@ -243,24 +235,19 @@ class PendingQueue {
                EstimateAtFn estimate_at = nullptr)
       : policy_(options.policy),
         aging_weight_(options.sjf_aging_weight),
-        indexed_(options.indexed_queues),
         requests_(requests),
         wids_(wids),
         estimates_by_id_(estimates_by_id),
         class_order_(std::move(class_order)),
         estimate_at_(std::move(estimate_at)) {
-    use_sjf_set_ = indexed_ && policy_ == Policy::kSjf &&
-                   aging_weight_ == 0.0 && estimate_at_ == nullptr;
+    use_sjf_set_ = policy_ == Policy::kSjf && aging_weight_ == 0.0 &&
+                   estimate_at_ == nullptr;
   }
 
-  bool empty() const { return indexed_ ? count_ == 0 : pending_.empty(); }
-  size_t size() const { return indexed_ ? count_ : pending_.size(); }
+  bool empty() const { return count_ == 0; }
+  size_t size() const { return count_; }
 
   void Push(size_t request_index) {
-    if (!indexed_) {
-      pending_.push_back(request_index);
-      return;
-    }
     EnsureCapacity(request_index);
     LinkBefore(kNone, request_index);  // pushes arrive in index order
     const uint32_t w = wids_[request_index];
@@ -272,12 +259,6 @@ class PendingQueue {
   /// Re-inserts a request popped but never dispatched (a released batch
   /// hold) at its admission-order position.
   void Restore(size_t request_index) {
-    if (!indexed_) {
-      pending_.insert(
-          std::lower_bound(pending_.begin(), pending_.end(), request_index),
-          request_index);
-      return;
-    }
     EnsureCapacity(request_index);
     // Find the list successor: first queued index greater than the
     // restored one. Restored indices are recent pops, so the backward walk
@@ -299,115 +280,23 @@ class PendingQueue {
   /// Removes and returns the next request index under the policy. `now` is
   /// the dispatch time, used by SJF aging to credit queue wait.
   size_t Pop(dana::SimTime now, const WarmthFn& warmth = nullptr) {
-    if (indexed_) {
-      const size_t pick = PickIndexed(now, warmth);
-      Remove(pick);
-      return pick;
-    }
-    size_t at = 0;
-    switch (policy_) {
-      case Policy::kFcfs:
-        // Arrival order == queue order. Affinity does not reorder FCFS (or
-        // RR): chasing warmth in the queue trades older arrivals' wait for
-        // placement and loses on mean latency; those policies get their
-        // affinity purely from the slot choice after the pop.
-        break;
-      case Policy::kSjf: {
-        if (warmth && estimate_at_) {
-          // Affinity SJF: order by the residency-aware estimate — the
-          // executor's own cold/warm interpolation at the best free slot's
-          // warmth, the same way the dispatch will be charged — instead of
-          // a weight-tuned discount; aging credit still applies on top.
-          auto effective = [&](size_t i) {
-            const QueryRequest& r = requests_[pending_[i]];
-            return estimate_at_(r.workload_id, warmth(r.workload_id)) -
-                   aging_weight_ * (now - r.arrival).seconds();
-          };
-          double best = effective(0);
-          for (size_t i = 1; i < pending_.size(); ++i) {
-            const double cand = effective(i);
-            if (cand < best) {
-              best = cand;
-              at = i;
-            }
-          }
-        } else if (aging_weight_ == 0.0) {
-          // Pure SJF: identical comparison to the unaged scheduler so a
-          // zero weight reproduces its schedules bit-for-bit.
-          for (size_t i = 1; i < pending_.size(); ++i) {
-            const dana::SimTime best = estimates_by_id_[wids_[pending_[at]]];
-            const dana::SimTime cand = estimates_by_id_[wids_[pending_[i]]];
-            if (cand < best) at = i;
-          }
-        } else {
-          // Aged SJF: every second of queue wait forgives `weight` seconds
-          // of estimate, so a long job's effective estimate eventually
-          // drops below the stream of short ones and it cannot starve.
-          auto effective = [&](size_t i) {
-            const QueryRequest& r = requests_[pending_[i]];
-            return estimates_by_id_[wids_[pending_[i]]].seconds() -
-                   aging_weight_ * (now - r.arrival).seconds();
-          };
-          double best = effective(0);
-          for (size_t i = 1; i < pending_.size(); ++i) {
-            const double cand = effective(i);
-            if (cand < best) {
-              best = cand;
-              at = i;
-            }
-          }
-        }
-        break;
-      }
-      case Policy::kRoundRobin: {
-        // Advance the cursor to the next class with queued work; take that
-        // class's earliest arrival.
-        for (size_t step = 0; step < class_order_.size(); ++step) {
-          const uint32_t cls =
-              class_order_[(rr_cursor_ + step) % class_order_.size()];
-          for (size_t i = 0; i < pending_.size(); ++i) {
-            if (wids_[pending_[i]] == cls) {
-              rr_cursor_ = (rr_cursor_ + step + 1) % class_order_.size();
-              at = i;
-              goto found;
-            }
-          }
-        }
-      found:
-        break;
-      }
-    }
-    const size_t request_index = pending_[at];
-    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(at));
-    return request_index;
+    const size_t pick = Pick(now, warmth);
+    Remove(pick);
+    return pick;
   }
 
   /// Removes up to `limit` further queued requests of workload `cls` (in
   /// admission order) and appends their indices to `out` — the co-resident
   /// queries a batched dispatch coalesces with the head query.
   void TakeSameClass(uint32_t cls, size_t limit, std::vector<size_t>* out) {
-    if (indexed_) {
-      if (cls >= per_class_.size()) return;
-      auto& q = per_class_[cls];
-      size_t taken = 0;
-      while (taken < limit && !q.empty()) {
-        const size_t idx = q.front();
-        out->push_back(idx);
-        Remove(idx);  // pops the deque front via its fast path
-        ++taken;
-      }
-      return;
-    }
+    if (cls >= per_class_.size()) return;
+    auto& q = per_class_[cls];
     size_t taken = 0;
-    size_t i = 0;
-    while (i < pending_.size() && taken < limit) {
-      if (wids_[pending_[i]] == cls) {
-        out->push_back(pending_[i]);
-        pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-        ++taken;
-      } else {
-        ++i;
-      }
+    while (taken < limit && !q.empty()) {
+      const size_t idx = q.front();
+      out->push_back(idx);
+      Remove(idx);  // pops the deque front via its fast path
+      ++taken;
     }
   }
 
@@ -443,7 +332,7 @@ class PendingQueue {
     }
   }
 
-  /// Removes `idx` from every indexed structure.
+  /// Removes `idx` from the list, its class deque and the SJF set.
   void Remove(size_t idx) {
     const size_t p = prev_[idx], n = next_[idx];
     if (p == kNone) {
@@ -470,17 +359,24 @@ class PendingQueue {
     --count_;
   }
 
-  /// The indexed pick: same element as the reference scan for every mode.
-  size_t PickIndexed(dana::SimTime now, const WarmthFn& warmth) const {
+  /// The policy's next request; the queue must be non-empty.
+  size_t Pick(dana::SimTime now, const WarmthFn& warmth) const {
     size_t pick = head_;
     switch (policy_) {
       case Policy::kFcfs:
+        // Arrival order == queue order. Affinity does not reorder FCFS (or
+        // RR): chasing warmth in the queue trades older arrivals' wait for
+        // placement and loses on mean latency; those policies get their
+        // affinity purely from the slot choice after the pop.
         break;
       case Policy::kSjf: {
         if (warmth && estimate_at_) {
-          // Affinity SJF keeps the reference linear scan (in admission
-          // order, identical arithmetic, first strict minimum wins): the
-          // per-candidate warmth subtraction cannot be re-keyed exactly.
+          // Affinity SJF: order by the residency-aware estimate — the
+          // executor's own cold/warm interpolation at the best free slot's
+          // warmth, the same way the dispatch will be charged — instead of
+          // a weight-tuned discount; aging credit still applies on top.
+          // A linear scan in admission order (first strict minimum wins):
+          // the per-candidate warmth subtraction cannot be re-keyed exactly.
           double best = 0.0;
           bool first = true;
           for (size_t i = head_; i != kNone; i = next_[i]) {
@@ -494,21 +390,14 @@ class PendingQueue {
               first = false;
             }
           }
-        } else if (aging_weight_ == 0.0) {
-          if (use_sjf_set_) {
-            // Pure SJF: min (estimate, index) is exactly the reference
-            // first-minimum (see the class comment).
-            pick = sjf_.begin()->second;
-          } else {
-            for (size_t i = head_; i != kNone; i = next_[i]) {
-              if (estimates_by_id_[wids_[i]] <
-                  estimates_by_id_[wids_[pick]]) {
-                pick = i;
-              }
-            }
-          }
+        } else if (use_sjf_set_) {
+          // Pure SJF: min (estimate, index) is the first minimum in
+          // admission order (see the class comment).
+          pick = sjf_.begin()->second;
         } else {
-          // Aged SJF: reference linear scan (same rounding, same ties).
+          // Aged SJF: every second of queue wait forgives `weight` seconds
+          // of estimate, so a long job's effective estimate eventually
+          // drops below the stream of short ones and it cannot starve.
           double best = 0.0;
           bool first = true;
           for (size_t i = head_; i != kNone; i = next_[i]) {
@@ -525,6 +414,8 @@ class PendingQueue {
         break;
       }
       case Policy::kRoundRobin: {
+        // Advance the cursor to the next class with queued work; take that
+        // class's earliest arrival.
         for (size_t step = 0; step < class_order_.size(); ++step) {
           const uint32_t cls =
               class_order_[(rr_cursor_ + step) % class_order_.size()];
@@ -542,7 +433,6 @@ class PendingQueue {
 
   Policy policy_;
   double aging_weight_;
-  bool indexed_;
   bool use_sjf_set_ = false;
   const std::vector<QueryRequest>& requests_;
   const std::vector<uint32_t>& wids_;
@@ -551,10 +441,6 @@ class PendingQueue {
   mutable size_t rr_cursor_ = 0;
   EstimateAtFn estimate_at_;
 
-  // Reference structure.
-  std::vector<size_t> pending_;
-
-  // Indexed structures.
   size_t head_ = kNone, tail_ = kNone;
   std::vector<size_t> next_, prev_;
   size_t count_ = 0;
@@ -699,18 +585,6 @@ class EventEngine {
         holds_(options.slots),
         free_since_(options.slots, dana::SimTime::Zero()),
         slot_event_(options.slots, kNever) {
-    if (options_.indexed_queues) {
-      // Every slot starts free: seed the intrusive free list in ascending
-      // slot order.
-      free_next_.assign(options_.slots, kNoSlot);
-      free_prev_.assign(options_.slots, kNoSlot);
-      in_free_.assign(options_.slots, 1);
-      for (uint32_t s = 0; s < options_.slots; ++s) {
-        free_next_[s] = s + 1 < options_.slots ? s + 1 : kNoSlot;
-        free_prev_[s] = s > 0 ? s - 1 : kNoSlot;
-      }
-      free_head_ = options_.slots > 0 ? 0 : kNoSlot;
-    }
     report_.policy = options_.policy;
     report_.slots = options_.slots;
     report_.queries.reserve(requests.size());
@@ -800,11 +674,10 @@ class EventEngine {
     return !active_[s].has_value() && !holds_[s].active;
   }
 
-  /// Re-derives slot `s`'s next event time and its membership in the
-  /// free-slot list from its actual state. Idempotent; called after every
-  /// active_/holds_ mutation and every preemption arm or cancel, so both
-  /// are correct by construction instead of by transition bookkeeping.
-  /// The free list is not kept in reference mode (AvailableSlots scans).
+  /// Re-derives slot `s`'s next event time from its actual state.
+  /// Idempotent; called after every active_/holds_ mutation and every
+  /// preemption arm or cancel, so the event table is correct by
+  /// construction instead of by transition bookkeeping.
   void SyncSlot(uint32_t s) {
     if (active_[s].has_value()) {
       slot_event_[s] = active_[s]->preempt_armed ? active_[s]->preempt_free
@@ -812,54 +685,11 @@ class EventEngine {
     } else {
       slot_event_[s] = holds_[s].active ? holds_[s].expires : kNever;
     }
-    if (!options_.indexed_queues) return;
-    const bool want = SlotFree(s);
-    if (want == static_cast<bool>(in_free_[s])) return;
-    if (want) {
-      // Insert in ascending slot order: walk to the first free slot above
-      // `s` (the list is at most `slots` long; typically the walk is
-      // short because low slots free and occupy most often).
-      uint32_t succ = free_head_;
-      while (succ != kNoSlot && succ < s) succ = free_next_[succ];
-      const uint32_t pred = succ == kNoSlot ? free_tail_ : free_prev_[succ];
-      free_next_[s] = succ;
-      free_prev_[s] = pred;
-      if (pred == kNoSlot) {
-        free_head_ = s;
-      } else {
-        free_next_[pred] = s;
-      }
-      if (succ == kNoSlot) {
-        free_tail_ = s;
-      } else {
-        free_prev_[succ] = s;
-      }
-    } else {
-      const uint32_t p = free_prev_[s], n = free_next_[s];
-      if (p == kNoSlot) {
-        free_head_ = n;
-      } else {
-        free_next_[p] = n;
-      }
-      if (n == kNoSlot) {
-        free_tail_ = p;
-      } else {
-        free_prev_[n] = p;
-      }
-      free_next_[s] = free_prev_[s] = kNoSlot;
-    }
-    in_free_[s] = want;
   }
 
   /// Fills `out` with the free slots in ascending order.
   void AvailableSlots(std::vector<uint32_t>* out) const {
     out->clear();
-    if (options_.indexed_queues) {
-      for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
-        out->push_back(s);
-      }
-      return;
-    }
     for (uint32_t s = 0; s < options_.slots; ++s) {
       if (SlotFree(s)) out->push_back(s);
     }
@@ -1402,7 +1232,6 @@ class EventEngine {
     return Status::OK();
   }
 
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
   static constexpr dana::SimTime kNever =
       dana::SimTime::Nanos(std::numeric_limits<double>::infinity());
 
@@ -1451,12 +1280,6 @@ class EventEngine {
     uint64_t next_id = 0;
   };
   std::optional<ClosedLoop> closed_;
-  // Intrusive free-slot list (indexed mode): doubly linked over slot
-  // indices, kept in ascending order so AvailableSlots() enumerates slots
-  // in the same order the reference scan does.
-  uint32_t free_head_ = kNoSlot, free_tail_ = kNoSlot;
-  std::vector<uint32_t> free_next_, free_prev_;
-  std::vector<uint8_t> in_free_;
 };
 
 }  // namespace

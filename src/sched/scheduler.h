@@ -204,18 +204,6 @@ struct SchedulerOptions {
   /// dispatch/slice/checkpoint/resume spans for chrome://tracing.
   obs::MetricRegistry* metrics = nullptr;
   obs::SlotTracer* tracer = nullptr;
-  /// Queue-structure implementation toggle. true (the default) uses the
-  /// indexed hot-path structures: an intrusive admission-order list with
-  /// per-algorithm FIFO indices (O(1) FCFS pops, O(k) batch coalescing,
-  /// integer round-robin rotation), an ordered candidate set for pure SJF
-  /// (O(log n) extraction), and an incrementally maintained free-slot list
-  /// in the engine. false falls back to the reference O(n) scan-and-erase
-  /// structures the suite history pinned. Both produce bit-for-bit
-  /// identical schedules — every tie-break is preserved exactly, and the
-  /// sched_perf suite asserts equivalence on all three policies, with and
-  /// without preemption — so the flag exists only to keep the reference
-  /// path runnable for that comparison.
-  bool indexed_queues = true;
 };
 
 /// Publishes `report`'s aggregate statistics into `metrics` as the

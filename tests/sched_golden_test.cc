@@ -26,6 +26,7 @@
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
+#include "schedule_digest.h"
 #include "sliced_executor.h"
 
 namespace dana::sched {
@@ -282,46 +283,6 @@ std::vector<QueryRequest> FixtureStream(uint64_t seed, uint32_t queries,
   auto stream = driver.Generate();
   EXPECT_TRUE(stream.ok());
   return *stream;
-}
-
-/// FNV-1a over the bit patterns of every QueryStat field and the report's
-/// makespan, batch, compile and preemption totals.
-uint64_t ReportDigest(const ScheduleReport& r) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto mix = [&hash](const void* data, size_t size) {
-    for (size_t i = 0; i < size; ++i) {
-      hash ^= static_cast<const unsigned char*>(data)[i];
-      hash *= 0x100000001b3ull;
-    }
-  };
-  auto add = [&mix](const auto& value) { mix(&value, sizeof(value)); };
-  for (const QueryStat& q : r.queries) {
-    add(q.id);
-    add(q.workload_id.size());
-    mix(q.workload_id.data(), q.workload_id.size());
-    add(q.query_class);
-    add(q.slot);
-    add(q.arrival);
-    add(q.start);
-    add(q.completion);
-    add(q.compile);
-    add(q.service);
-    add(q.compile_hit);
-    add(q.batch_size);
-    add(q.shared_service);
-    add(q.private_service);
-    add(q.warm_fraction);
-    add(q.os_warm_fraction);
-    add(q.residency_modeled);
-    add(q.preemptions);
-    add(q.preempt_overhead);
-  }
-  add(r.makespan);
-  add(r.batches);
-  add(r.compile_hits);
-  add(r.compile_misses);
-  add(r.preemptions);
-  return hash;
 }
 
 /// Every fixture configuration, named, with its report digest: open and

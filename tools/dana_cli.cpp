@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -152,6 +153,28 @@ bool IntFlag(int argc, char** argv, const char* name, const char* fallback,
                  "%s must be an integer in %s (got '%s'); the default is "
                  "%s\n",
                  name, range, text, fallback);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Strict floating-point twin of IntFlag: the value of `name` (else
+/// `fallback`) must be a whole strtod number in [lo, hi] (NaN never is).
+/// With neither a value nor a fallback it leaves `out` untouched.
+bool DoubleFlag(int argc, char** argv, const char* name, const char* fallback,
+                double lo, double hi, const char* range, double* out) {
+  const char* text = Flag(argc, argv, name, fallback);
+  if (text == nullptr) return true;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "%s must be a number in %s (got '%s')", name, range,
+                 text);
+    if (fallback != nullptr) {
+      std::fprintf(stderr, "; the default is %s", fallback);
+    }
+    std::fputc('\n', stderr);
     return false;
   }
   *out = value;
@@ -335,7 +358,46 @@ int CmdStriderWalk(int argc, char** argv) {
   return tuples == rows ? 0 : 1;
 }
 
+/// Rejects any argument `dana sched` does not read — an unknown flag, a
+/// value flag missing its value, or a stray word — so a typo exits 2
+/// instead of running a schedule with the flag's default.
+bool CheckSchedArgs(int argc, char** argv) {
+  static const char* const kValueFlags[] = {
+      "--policy",    "--slots",       "--queries",     "--rate",
+      "--dist",      "--theta",       "--seed",        "--group",
+      "--batch",     "--aging",       "--affinity",    "--think-ms",
+      "--sessions",  "--interactive", "--quantum",     "--ctx-ms",
+      "--window-ms", "--pool-frames", "--eviction",    "--os-frames",
+      "--metrics-json", "--trace-out"};
+  static const char* const kSwitches[] = {"--closed-loop", "--metrics-table"};
+  auto listed = [](const auto& names, const char* arg) {
+    for (const char* name : names) {
+      if (std::strcmp(name, arg) == 0) return true;
+    }
+    return false;
+  };
+  for (int i = 2; i < argc; ++i) {
+    if (listed(kSwitches, argv[i])) continue;
+    if (!listed(kValueFlags, argv[i])) {
+      std::fprintf(stderr,
+                   "dana sched: unknown %s '%s' (see dana sched --help)\n",
+                   argv[i][0] == '-' ? "flag" : "argument", argv[i]);
+      return false;
+    }
+    if (++i == argc) {
+      std::fprintf(stderr, "dana sched: %s needs a value\n", argv[i - 1]);
+      return false;
+    }
+  }
+  return true;
+}
+
 int CmdSched(int argc, char** argv) {
+  if (HasFlag(argc, argv, "--help") || HasFlag(argc, argv, "-h")) {
+    PrintHelp(stdout);
+    return 0;
+  }
+  if (!CheckSchedArgs(argc, argv)) return 2;
   // Workload catalog (popularity rank = catalog order).
   const std::string group = Flag(argc, argv, "--group", "public");
   std::vector<ml::Workload> workloads;
@@ -355,50 +417,43 @@ int CmdSched(int argc, char** argv) {
   std::vector<std::string> catalog;
   for (const auto& w : workloads) catalog.push_back(w.id);
 
-  // Parse counts as signed so "--slots -1" is rejected instead of wrapping
-  // to a ~4-billion value through the unsigned cast.
-  const int queries = std::atoi(Flag(argc, argv, "--queries", "100"));
-  const int slots = std::atoi(Flag(argc, argv, "--slots", "2"));
-  if (slots <= 0 || queries <= 0) {
-    std::fprintf(stderr, "--slots and --queries must be positive\n");
-    return 2;
-  }
-  if (slots > 4096) {
-    std::fprintf(stderr, "--slots must be at most 4096\n");
-    return 2;
-  }
-  const int max_batch = std::atoi(Flag(argc, argv, "--batch", "1"));
-  if (max_batch <= 0 || max_batch > 1024) {
-    std::fprintf(stderr, "--batch must be in 1..1024\n");
-    return 2;
-  }
-  const double aging = std::atof(Flag(argc, argv, "--aging", "0"));
-  if (aging < 0) {
-    std::fprintf(stderr, "--aging must be non-negative\n");
-    return 2;
-  }
-  const double affinity = std::atof(Flag(argc, argv, "--affinity", "0"));
-  if (affinity < 0) {
-    std::fprintf(stderr, "--affinity must be non-negative\n");
+  constexpr long long kIntMax = 0x7fffffff;
+  // Finite ceiling: "[0, inf)" excludes an "inf" typed as a value.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  long long queries = 0, slots = 0, max_batch = 0, sessions = 0;
+  long long interactive_ranks = 0, quantum = 0, seed = 0;
+  double aging = 0, affinity = 0, think_ms = 0, ctx_ms = 0, window_ms = 0;
+  double theta = 0;
+  double rate = 0;  // --rate has no default: 0 calibrates it below
+  if (!IntFlag(argc, argv, "--queries", "100", 1, kIntMax, "1..2^31-1",
+               &queries) ||
+      !IntFlag(argc, argv, "--slots", "2", 1, 4096, "1..4096", &slots) ||
+      !IntFlag(argc, argv, "--batch", "1", 1, 1024, "1..1024", &max_batch) ||
+      !DoubleFlag(argc, argv, "--aging", "0", 0, kMax, "[0, inf)", &aging) ||
+      !DoubleFlag(argc, argv, "--affinity", "0", 0, kMax, "[0, inf)",
+                  &affinity) ||
+      !DoubleFlag(argc, argv, "--think-ms", "0", 0, kMax, "[0, inf)",
+                  &think_ms) ||
+      !IntFlag(argc, argv, "--sessions", "4", 1, kIntMax, "1..2^31-1",
+               &sessions) ||
+      !IntFlag(argc, argv, "--interactive", "0", 0, kIntMax, "0..2^31-1",
+               &interactive_ranks) ||
+      !IntFlag(argc, argv, "--quantum", "0", 0, kIntMax, "0..2^31-1",
+               &quantum) ||
+      !DoubleFlag(argc, argv, "--ctx-ms", "50", 0, kMax, "[0, inf)",
+                  &ctx_ms) ||
+      !DoubleFlag(argc, argv, "--window-ms", "0", 0, kMax, "[0, inf)",
+                  &window_ms) ||
+      !IntFlag(argc, argv, "--seed", "3735928559", 0,
+               std::numeric_limits<long long>::max(), "0..2^63-1", &seed) ||
+      !DoubleFlag(argc, argv, "--theta", "0.99", 0, kMax, "[0, inf)",
+                  &theta) ||
+      !DoubleFlag(argc, argv, "--rate", nullptr,
+                  std::numeric_limits<double>::denorm_min(), kMax,
+                  "(0, inf)", &rate)) {
     return 2;
   }
   const bool closed_loop = HasFlag(argc, argv, "--closed-loop");
-  const double think_ms = std::atof(Flag(argc, argv, "--think-ms", "0"));
-  const int sessions = std::atoi(Flag(argc, argv, "--sessions", "4"));
-  if (closed_loop && (think_ms < 0 || sessions <= 0)) {
-    std::fprintf(stderr, "--think-ms must be >= 0 and --sessions positive\n");
-    return 2;
-  }
-  const int interactive_ranks =
-      std::atoi(Flag(argc, argv, "--interactive", "0"));
-  const int quantum = std::atoi(Flag(argc, argv, "--quantum", "0"));
-  const double ctx_ms = std::atof(Flag(argc, argv, "--ctx-ms", "50"));
-  const double window_ms = std::atof(Flag(argc, argv, "--window-ms", "0"));
-  if (interactive_ranks < 0 || quantum < 0 || ctx_ms < 0 || window_ms < 0) {
-    std::fprintf(stderr, "--interactive, --quantum, --ctx-ms and "
-                         "--window-ms must be non-negative\n");
-    return 2;
-  }
   if (closed_loop && window_ms > 0) {
     // --quantum composes with --closed-loop now (the event-driven engine
     // materializes think-time submissions at completion events); only the
@@ -442,13 +497,8 @@ int CmdSched(int argc, char** argv) {
   sched::DriverOptions driver_opts;
   driver_opts.num_queries = static_cast<uint32_t>(queries);
   driver_opts.interactive_ranks = static_cast<uint32_t>(interactive_ranks);
-  driver_opts.seed = static_cast<uint64_t>(
-      std::atoll(Flag(argc, argv, "--seed", "3735928559")));
-  driver_opts.zipf_exponent = std::atof(Flag(argc, argv, "--theta", "0.99"));
-  if (driver_opts.zipf_exponent < 0) {
-    std::fprintf(stderr, "--theta must be non-negative\n");
-    return 2;
-  }
+  driver_opts.seed = static_cast<uint64_t>(seed);
+  driver_opts.zipf_exponent = theta;
   auto popularity = sched::ParsePopularity(Flag(argc, argv, "--dist", "zipf"));
   if (!popularity.ok()) {
     std::fprintf(stderr, "%s\n", popularity.status().ToString().c_str());
@@ -501,13 +551,8 @@ int CmdSched(int argc, char** argv) {
   // Arrival rate (open stream only): explicit --rate, else calibrated to
   // ~80% utilization of the requested slots against the zipf-weighted mean
   // service time.
-  const char* rate_flag = Flag(argc, argv, "--rate");
-  if (rate_flag != nullptr) {
-    driver_opts.arrival_rate_qps = std::atof(rate_flag);
-    if (driver_opts.arrival_rate_qps <= 0) {
-      std::fprintf(stderr, "--rate must be positive\n");
-      return 2;
-    }
+  if (rate > 0) {
+    driver_opts.arrival_rate_qps = rate;
   } else if (!closed_loop) {
     // Calibrate against each workload's steady state, not its cold
     // first-touch: dispatch every catalog entry twice back to back on one
@@ -545,8 +590,8 @@ int CmdSched(int argc, char** argv) {
     }
     session_scripts = std::move(*scripts);
     std::printf("%u queries over %zu '%s' workloads, %s popularity "
-                "(theta %.2f), closed loop: %d session(s), think %.0f ms, "
-                "%d slot(s), batch %d, seed %llu\n\n",
+                "(theta %.2f), closed loop: %lld session(s), think %.0f ms, "
+                "%lld slot(s), batch %lld, seed %llu\n\n",
                 driver_opts.num_queries, catalog.size(), group.c_str(),
                 sched::PopularityName(driver_opts.popularity),
                 driver_opts.zipf_exponent, sessions, think_ms, slots,
@@ -560,7 +605,8 @@ int CmdSched(int argc, char** argv) {
     }
     stream = std::move(*generated);
     std::printf("%u queries over %zu '%s' workloads, %s popularity "
-                "(theta %.2f), %.3f qps, %d slot(s), batch %d, seed %llu\n\n",
+                "(theta %.2f), %.3f qps, %lld slot(s), batch %lld, "
+                "seed %llu\n\n",
                 driver_opts.num_queries, catalog.size(), group.c_str(),
                 sched::PopularityName(driver_opts.popularity),
                 driver_opts.zipf_exponent, driver_opts.arrival_rate_qps,
